@@ -6,12 +6,14 @@ Run by ``run.py``, never by hand::
         (--setup-only | --seconds S | --ops K) [--traced] [--spans FILE]
 
 The process imports the program, warms up, and prints ``READY``; the
-parent times process start to that line as one set-up sample. With
-``--setup-only`` it exits there. Otherwise it runs operations for
-``--seconds`` (or exactly ``--ops`` of them), checks every output, and
-prints one ``RESULT <json>`` line. ``--traced`` wraps the program's
-layer boundaries in spans (installed after the warm-up) and adds the
-per-layer numbers to the result.
+parent times process start to that line as one set-up sample. It then
+times the host-speed kernel (``common.host_ref_s``) three times, which
+scales that sample. With ``--setup-only`` it prints those in one
+``RESULT <json>`` line and exits. Otherwise it runs operations for
+``--seconds`` (or exactly ``--ops`` of them), each bracketed by kernel
+samples, checks every output, and prints one ``RESULT <json>`` line.
+``--traced`` wraps the program's layer boundaries in spans (installed
+after the warm-up) and adds the per-layer numbers to the result.
 """
 
 from __future__ import annotations
@@ -157,12 +159,17 @@ class SearchWorkload:
 
     @staticmethod
     def summarise(ops: List[dict]) -> dict:
-        # Rates are medians over operations, so a burst of load from
-        # elsewhere on the machine moves few samples.
-        joint_rate = statistics.median([o["joint_cands"] / o["joint_s"] for o in ops])
-        joint_ms = statistics.median([1000.0 * o["joint_s"] for o in ops])
-        cluster_rate = statistics.median([o["cluster_cands"] / o["cluster_s"] for o in ops])
-        cluster_ms = [1000.0 * o["cluster_s"] for o in ops]
+        # Rates are medians over operations, each scaled to the nominal
+        # host speed measured around it (see ``common.host_ref_s``).
+        joint_rate = statistics.median(
+            [o["joint_cands"] / (o["joint_s"] * o["speed"]) for o in ops]
+        )
+        joint_ms = statistics.median([1000.0 * o["joint_s"] * o["speed"] for o in ops])
+        cluster_rate = statistics.median(
+            [o["cluster_cands"] / (o["cluster_s"] * o["speed"]) for o in ops]
+        )
+        cluster_ms = [1000.0 * o["cluster_s"] * o["speed"] for o in ops]
+        raw_rate = statistics.median([o["joint_cands"] / o["joint_s"] for o in ops])
         tail, tail_q = common.tail_percentile(cluster_ms)
         hits = sum(o["memo_hits"] for o in ops)
         lookups = hits + sum(o["memo_misses"] for o in ops)
@@ -177,6 +184,7 @@ class SearchWorkload:
                 "search.cluster_search_ms.p50": [statistics.median(cluster_ms), "ms"],
                 f"search.cluster_search_ms.p{tail_q:.3g}": [tail, "ms"],
                 "search.searches": [2 * len(ops), "count"],
+                "search.joint_cands_per_s.unscaled": [raw_rate, "1/s"],
             },
             "layers": {"smt.memo_hit_ratio": hits / lookups if lookups else 0.0},
         }
@@ -254,9 +262,10 @@ class TournamentWorkload:
 
     @staticmethod
     def summarise(ops: List[dict]) -> dict:
-        wall_ms = [1000.0 * o["wall_s"] for o in ops]
+        wall_ms = [1000.0 * o["wall_s"] * o["speed"] for o in ops]
         tail, tail_q = common.tail_percentile(wall_ms)
-        cells_per_s = statistics.median([o["cells"] / o["wall_s"] for o in ops])
+        cells_per_s = statistics.median([o["cells"] / (o["wall_s"] * o["speed"]) for o in ops])
+        raw_rate = statistics.median([o["cells"] / o["wall_s"] for o in ops])
         return {
             "attempted": sum(o["cells"] for o in ops),
             "throughput_per_s": cells_per_s,
@@ -266,6 +275,7 @@ class TournamentWorkload:
                 "tournament.wall_ms.p50": [statistics.median(wall_ms), "ms"],
                 f"tournament.wall_ms.p{tail_q:.3g}": [tail, "ms"],
                 "tournament.tournaments": [len(ops), "count"],
+                "tournament.cells_per_s.unscaled": [raw_rate, "1/s"],
             },
         }
 
@@ -297,8 +307,11 @@ class ReportWorkload:
 
     @staticmethod
     def summarise(ops: List[dict]) -> dict:
-        wall_ms = [1000.0 * o["wall_s"] for o in ops]
-        return {"attempted": len(ops), "wall_ms": wall_ms}
+        return {
+            "attempted": len(ops),
+            "wall_ms": [1000.0 * o["wall_s"] * o["speed"] for o in ops],
+            "wall_ms_unscaled": [1000.0 * o["wall_s"] for o in ops],
+        }
 
     def verify(self) -> None:
         """The output digest is checked as each report finishes."""
@@ -449,21 +462,31 @@ def main(argv: Optional[List[str]] = None) -> int:
         tracer = Tracer()
         install(tracer, trace_points(tracer))
     print("READY", flush=True)
+    # The host's speed just after set-up scales the parent's set-up sample.
+    setup_refs = [common.host_ref_s() for _ in range(common.SETUP_REFS)]
+    setup_ref_s = statistics.median(setup_refs)
     if args.setup_only:
+        print("RESULT " + json.dumps({"setup_ref_s": setup_ref_s}), flush=True)
         return 0
 
     ops: List[dict] = []
     failed = 0
     t_end = time.perf_counter() + (args.seconds or 0.0)
     index = 0
+    ref_before = setup_refs[-1]
     while (len(ops) < args.ops) if args.ops else (time.perf_counter() < t_end or not ops):
         try:
-            ops.append(workload.op(index))
+            op = workload.op(index)
         except Exception as exc:  # a failed operation is counted, not fatal
             failed += 1
             workload.checks.append({"check": "operation", "ok": False, "error": repr(exc)})
             if failed > 3:
                 break
+        else:
+            ref_after = common.host_ref_s()
+            op["speed"] = common.host_speed(0.5 * (ref_before + ref_after))
+            ops.append(op)
+            ref_before = ref_after
         index += 1
         if args.workload == "report":
             break
@@ -473,6 +496,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "ops": ops,
         "failed": failed,
         "peak_rss_mb": common.vm_hwm_mb(),
+        "setup_ref_s": setup_ref_s,
     }
     if tracer is not None:
         doc["layers"] = layer_metrics(tracer)

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import heapq
 import json
 import math
 import os
 import platform
 import subprocess
 import sys
+import time
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -16,6 +19,9 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT = HERE / "out"
+#: CPUs this process may use when it starts (the service client later
+#: narrows its own set).
+NPROC = len(os.sched_getaffinity(0))
 
 #: The shipped ``repro report`` output (``full_report()`` plus the newline
 #: ``print`` adds), pinned by its sha256.
@@ -34,6 +40,61 @@ E2E_UNITS = {
     "throughput_per_s": "1/s",
     "p50_ms": "ms",
 }
+
+
+#: Seconds :func:`host_ref_s` takes at the nominal host speed, a typical
+#: time on the 2-vCPU reference host (where samples range from about 17
+#: to 45 ms). Scaled times are ``raw * speed`` with
+#: ``speed = REF_NOMINAL_S / host_ref_s()`` measured around them.
+REF_NOMINAL_S = 0.025
+REF_STEPS = 36_000
+#: Kernel samples whose median gives the host speed right after a set-up.
+SETUP_REFS = 3
+
+
+class _Cell:
+    __slots__ = ("rate", "key")
+
+    def __init__(self, rate: float, key: int) -> None:
+        self.rate = rate
+        self.key = key
+
+
+def host_ref_s() -> float:
+    """Seconds one fixed pure-Python kernel takes right now.
+
+    The reference host is shared: the same work runs up to twice as slow
+    in phases that last from seconds to minutes, which moves a run's
+    medians more than any change worth measuring. Timed next to the
+    program's operations, this kernel gives the host's speed at that
+    moment. It does what the simulator does most (heap-ordered events,
+    float updates, dict and attribute access) and imports nothing from
+    the program, so a change to the program never moves it; the garbage
+    collector is paused so the program's heap cannot either.
+    """
+    gc_was_on = gc.isenabled()
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        heap = [(float(i), i) for i in range(64)]
+        heapq.heapify(heap)
+        cells = {i: _Cell(1.0 + (i % 5) * 0.1, i & 7) for i in range(64)}
+        seen: Dict[int, float] = {}
+        for _ in range(REF_STEPS):
+            t, k = heapq.heappop(heap)
+            cell = cells[k]
+            cell.rate = cell.rate * 0.999 + 0.001 * (t % 3.0)
+            seen[cell.key] = seen.get(cell.key, 0.0) + cell.rate
+            heapq.heappush(heap, (t + 1.0 / cell.rate, k))
+        return time.perf_counter() - t0
+    finally:
+        if gc_was_on:
+            gc.enable()
+
+
+def host_speed(ref_s: float) -> float:
+    """Host speed relative to nominal, from a :func:`host_ref_s` time."""
+    return REF_NOMINAL_S / ref_s
 
 
 def program_available() -> bool:
@@ -112,7 +173,7 @@ def provenance(seed: int, trace: bool) -> dict:
         "source_sha256": source_digest(),
         "python": platform.python_version(),
         "python_executable": sys.executable,
-        "nproc": len(os.sched_getaffinity(0)),
+        "nproc": NPROC,
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
         "repro_telemetry": "unset",

@@ -131,6 +131,7 @@ def spawn(workload: str, seed: int, mode: List[str], traced: bool = False,
         cmd.append("--traced")
     if spans is not None:
         cmd += ["--spans", str(spans)]
+    ref_before = common.host_ref_s()
     t0 = time.perf_counter()
     proc = subprocess.Popen(
         cmd, env=common.child_env(), cwd=str(common.ROOT),
@@ -148,10 +149,13 @@ def spawn(workload: str, seed: int, mode: List[str], traced: bool = False,
             proc.communicate()
     if first.strip() != "READY" or proc.returncode != 0:
         raise BenchError(f"{workload} child failed (exit {proc.returncode})")
-    out = {"setup_s": setup_s}
+    out = {"setup_s_unscaled": setup_s}
     for line in rest.splitlines():
         if line.startswith("RESULT "):
             out.update(json.loads(line[len("RESULT "):]))
+    if "setup_ref_s" not in out:
+        raise BenchError(f"{workload} child printed no result")
+    out["setup_s"] = setup_s * common.host_speed(0.5 * (ref_before + out["setup_ref_s"]))
     return out
 
 
@@ -190,10 +194,15 @@ def run_in_process(workload: str, seed: int, seconds: float) -> dict:
             "throughput_per_s": 1000.0 / statistics.median(wall_ms),
             "p50_ms": statistics.median(wall_ms),
         }
+        unscaled = [c["summary"]["wall_ms_unscaled"][0] for c in children]
         named = {
             "report.wall_s": [statistics.median(wall_ms) / 1000.0, "s"],
+            "report.wall_s.unscaled": [statistics.median(unscaled) / 1000.0, "s"],
             f"report.wall_s.p{tail_q:.3g}": [tail / 1000.0, "s"],
             "report.reports": [len(children), "count"],
+            "setup_s.unscaled": [
+                statistics.median(c["setup_s_unscaled"] for c in children), "s"
+            ],
         }
         return {
             "metrics": metrics, "named": named,
@@ -202,15 +211,17 @@ def run_in_process(workload: str, seed: int, seconds: float) -> dict:
             "checks": [check for c in children for check in c["checks"]],
         }
 
-    setups = [spawn(workload, seed, ["--setup-only"])["setup_s"]
-              for _ in range(SETUP_SAMPLES - 1)]
+    setups = [spawn(workload, seed, ["--setup-only"]) for _ in range(SETUP_SAMPLES - 1)]
     child = spawn(workload, seed, ["--seconds", str(seconds)])
+    setups.append(child)
     metrics = e2e_of(workload, child)
-    metrics["setup_s"] = statistics.median(setups + [child["setup_s"]])
+    metrics["setup_s"] = statistics.median(c["setup_s"] for c in setups)
+    named = dict(child["summary"]["named"])
+    named["setup_s.unscaled"] = [statistics.median(c["setup_s_unscaled"] for c in setups), "s"]
     return {
         "metrics": metrics,
         "ops": child["ops"],
-        "named": child["summary"]["named"],
+        "named": named,
         "attempted": child["summary"]["attempted"],
         "failed": child["failed"],
         "checks": child["checks"],
@@ -245,10 +256,13 @@ def run_in_process_traced(workload: str, seed: int) -> dict:
 def run_service(seed: int, seconds: float) -> dict:
     setups = [service_load.setup_sample() for _ in range(SETUP_SAMPLES - 1)]
     out = service_load.run_once(seed, seconds, traced=False, fixed=False)
+    setups.append((out["setup_s"], out["setup_s_unscaled"]))
     metrics = {k: out[k] for k in common.E2E_UNITS}
-    metrics["setup_s"] = statistics.median(setups + [out["setup_s"]])
+    metrics["setup_s"] = statistics.median(scaled for scaled, _ in setups)
+    named = dict(out["named"])
+    named["setup_s.unscaled"] = [statistics.median(raw for _, raw in setups), "s"]
     return {
-        "metrics": metrics, "named": out["named"], "attempted": out["attempted"],
+        "metrics": metrics, "named": named, "attempted": out["attempted"],
         "failed": out["failed"], "checks": out["checks"], "server": out["server"],
         "open_phase": out["open_valid"], "failures": out["failures"],
     }

@@ -11,8 +11,9 @@ only client: at most two threads and two open connections. Three phases:
     latency runs from the time it was due to the ``finished_at`` stamp
     in its job document, read back after the phase.
 ``capacity``
-    Two closed-loop callers, each posting ``POST /v1/jobs:batch?wait=``
-    with ``BATCH`` fresh specs and waiting for the reply.
+    Two callers in rounds: each round both post ``POST /v1/jobs:batch?wait=``
+    with ``BATCH`` fresh specs at once, and the next round starts when
+    both replies are in.
 ``keepalive``
     One persistent connection sending sequential cache-hit
     ``POST /v1/jobs?wait=`` requests.
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
 import random
 import statistics
 import subprocess
@@ -107,6 +109,24 @@ def prometheus_values(text: str) -> Dict[str, float]:
 # -- the server ---------------------------------------------------------------
 
 
+#: The server runs on one CPU and this client on the others, so the two
+#: never queue for the same CPU, and the host's speed can be sampled on
+#: the server's CPU while it is idle. (The server's Python threads share
+#: one interpreter lock, so one CPU is what it can use anyway.)
+_CPUS = sorted(os.sched_getaffinity(0))
+SERVER_CPUS = {_CPUS[-1]}
+CLIENT_CPUS = set(_CPUS[:-1]) or SERVER_CPUS
+
+
+def server_ref_s() -> float:
+    """:func:`common.host_ref_s` on the server's CPU (this thread only)."""
+    os.sched_setaffinity(0, SERVER_CPUS)
+    try:
+        return common.host_ref_s()
+    finally:
+        os.sched_setaffinity(0, CLIENT_CPUS)
+
+
 class Server:
     """``python -m repro.cli serve`` with no flags, as a subprocess."""
 
@@ -117,12 +137,17 @@ class Server:
     def start(self) -> float:
         """Start and wait until ``/healthz`` answers; returns seconds."""
         t0 = time.perf_counter()
-        self.proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "serve", *SERVE_ARGV],
-            env=common.child_env(telemetry=self.telemetry),
-            cwd=str(common.ROOT),
-            stdout=subprocess.DEVNULL,
-        )
+        # A child inherits the CPUs of the thread that starts it.
+        os.sched_setaffinity(0, SERVER_CPUS)
+        try:
+            self.proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "serve", *SERVE_ARGV],
+                env=common.child_env(telemetry=self.telemetry),
+                cwd=str(common.ROOT),
+                stdout=subprocess.DEVNULL,
+            )
+        finally:
+            os.sched_setaffinity(0, CLIENT_CPUS)
         deadline = t0 + 60.0
         while True:
             if self.proc.poll() is not None:
@@ -310,42 +335,52 @@ def collect_jobs(job_ids: List[str], timeout_s: float = 60.0) -> Dict[str, dict]
     return docs
 
 
-def capacity_phase(source: SpecSource, seconds: Optional[float], batches: Optional[int]) -> dict:
-    """Two closed-loop batch callers, for ``seconds`` or ``batches`` each."""
-    results: List[List[tuple]] = [[], []]
-    bodies = [[], []]
+def capacity_phase(source: SpecSource, seconds: Optional[float], rounds: Optional[int]) -> dict:
+    """Rounds of two concurrent ``BATCH``-job batch calls, for ``seconds``
+    or ``rounds``.
+
+    Each round starts both callers together and ends when both replies
+    are in, so the server is idle between rounds; the host's speed is
+    sampled on its CPU there (see ``common.host_ref_s``), and each round's rate is
+    scaled by the mean speed of the samples on either side of it.
+    """
+    results: List[tuple] = []
+    bodies: List[List[dict]] = []
+    round_rates: List[float] = []
+    round_rates_unscaled: List[float] = []
     t0 = time.perf_counter()
     end = t0 + (seconds or 0.0)
-    lock = threading.Lock()
+    ref_before = server_ref_s()
+    while (len(round_rates) < rounds) if rounds else (time.perf_counter() < end or not round_rates):
+        jobs = [[source.fresh() for _ in range(BATCH)] for _ in range(2)]
+        replies: List[Optional[tuple]] = [None, None]
 
-    def caller(k: int) -> None:
-        done = 0
-        while (done < batches) if batches else (time.perf_counter() < end or done == 0):
-            with lock:
-                jobs = [source.fresh() for _ in range(BATCH)]
-            c0 = time.perf_counter()
-            status, doc = fresh("POST", "/v1/jobs:batch?wait=120", {"jobs": jobs}, timeout=150)
-            results[k].append((status, doc, time.perf_counter() - c0))
-            bodies[k].append(jobs)
-            done += 1
+        def caller(k: int) -> None:
+            replies[k] = fresh("POST", "/v1/jobs:batch?wait=120", {"jobs": jobs[k]}, timeout=150)
 
-    _run_threads([lambda: caller(0), lambda: caller(1)])
+        r0 = time.perf_counter()
+        _run_threads([lambda: caller(0), lambda: caller(1)])
+        round_s = time.perf_counter() - r0
+        ref_after = server_ref_s()
+        done = sum(
+            1 for _status, doc in replies for e in doc.get("jobs", [])
+            if e.get("state") == "done"
+        )
+        speed = common.host_speed(0.5 * (ref_before + ref_after))
+        round_rates.append(done / (round_s * speed))
+        round_rates_unscaled.append(done / round_s)
+        results.extend(replies)
+        bodies.extend(jobs)
+        ref_before = ref_after
     wall = time.perf_counter() - t0
-    entries = [
-        entry for calls in results for _status, doc, _rtt in calls
-        for entry in doc.get("jobs", [])
-    ]
-    n_jobs = sum(len(b) for calls in bodies for b in calls)
+    entries = [entry for _status, doc in results for entry in doc.get("jobs", [])]
+    n_jobs = sum(len(b) for b in bodies)
     done_jobs = sum(1 for e in entries if e.get("state") == "done")
     rejected = sum(1 for e in entries if "error" in e)
-    # Both callers keep a batch in flight, so each reply's rate times two
-    # is the server's rate over that call; the median shrugs off bursts.
-    call_rates = [
-        2 * sum(1 for e in doc.get("jobs", []) if e.get("state") == "done") / rtt
-        for calls in results for _status, doc, rtt in calls
-    ]
     return {
-        "rate_per_s": statistics.median(call_rates),
+        "rate_per_s": statistics.median(round_rates),
+        "rate_per_s_unscaled": statistics.median(round_rates_unscaled),
+        "rounds": len(round_rates),
         "wall_s": wall, "jobs": n_jobs, "done": done_jobs, "rejected": rejected,
         "not_done_ids": [e["id"] for e in entries if "id" in e and e.get("state") != "done"],
         "entries": [e for e in entries if e.get("state") == "done"],
@@ -486,7 +521,8 @@ def summarise(raw: dict) -> dict:
         # The open-phase median is printed, not compared: when the host
         # slows, the two-thread open loop falls behind schedule and the
         # median jumps by two orders of magnitude. The keep-alive round
-        # trip is the service's steady user-visible latency.
+        # trip is the service's steady user-visible latency; it waits on
+        # a timer, not on the CPU, so it is not scaled by host speed.
         "p50_ms": statistics.median(keep_ms),
         "peak_rss_mb": raw["rss_mb"],
         "named": {
@@ -494,6 +530,8 @@ def summarise(raw: dict) -> dict:
             f"service.p{p99_q:.3g}_ms": [p99, "ms"],
             "service.open_samples": [len(latencies), "count"],
             "service.capacity_jobs_per_s": [cap["rate_per_s"], "1/s"],
+            "service.capacity_jobs_per_s.unscaled": [cap["rate_per_s_unscaled"], "1/s"],
+            "service.capacity_rounds": [cap["rounds"], "count"],
             "service.capacity_jobs_per_s.whole_phase": [cap["done"] / cap["wall_s"], "1/s"],
             "service.keepalive_ms": [statistics.median(keep_ms), "ms"],
             "service.keepalive_samples": [len(keep_ms), "count"],
@@ -547,13 +585,14 @@ def run_once(seed: int, seconds: float, traced: bool, fixed: bool,
     tracer = Tracer() if traced else None
     server = Server(telemetry=traced)
     try:
-        setup_s = server.start()
+        setup_s, setup_unscaled = start_scaled(server)
         live = check_live_config(expected["config"])
         raw = drive(seed, server, seconds, fixed, tracer)
     finally:
         server.stop()
     out = summarise(raw)
     out["setup_s"] = setup_s
+    out["setup_s_unscaled"] = setup_unscaled
     out["server"] = dict(expected, live=live, repro_telemetry="1" if traced else "unset")
     out["checks"] = verify_digests(seed, raw)
     if tracer is not None and spans_path:
@@ -561,11 +600,21 @@ def run_once(seed: int, seconds: float, traced: bool, fixed: bool,
     return out
 
 
-def setup_sample() -> float:
+def start_scaled(server: Server) -> Tuple[float, float]:
+    """Start ``server``; seconds to readiness at nominal host speed, from
+    the speed measured just before and while it idles right after, and
+    unscaled."""
+    ref_before = server_ref_s()
+    setup_s = server.start()
+    ref_after = statistics.median(server_ref_s() for _ in range(common.SETUP_REFS))
+    return setup_s * common.host_speed(0.5 * (ref_before + ref_after)), setup_s
+
+
+def setup_sample() -> Tuple[float, float]:
     """One server start to readiness, then a stop."""
     server = Server(telemetry=False)
     try:
-        return server.start()
+        return start_scaled(server)
     finally:
         server.stop()
 
