@@ -8,13 +8,13 @@ example contrasts the classic approaches with the paper's:
    related-work baseline): balanced, but must be redone per input;
 2. *the paper's mechanism* — keep the naive distribution, re-pair ranks
    (heaviest with lightest) and re-divide each core's decode slots;
-3. *the automated advisor* — profile once, plan, verify.
+3. *the static balancer* — profile once, plan, verify.
 
 Run:  python examples/btmz_balancing.py
 """
 
 from repro import ProcessMapping, System, SystemConfig, paper_mapping
-from repro.core import Advisor
+from repro.core import StaticPriorityBalancer
 from repro.util.tables import TextTable
 from repro.workloads import ZoneGrid, bt_mz_programs
 
@@ -44,11 +44,17 @@ results["priority balancing (paper case C)"] = system.run(
     priorities={0: 4, 1: 4, 2: 6, 3: 6},
 )
 
-report = Advisor(system).advise(
-    lambda: bt_mz_programs(naive_works, iterations=ITER, profile="cfd",
-                           init_factor=0.5),
+# Profile the naive run, plan from each rank's compute time, verify.
+profile = results["naive distribution"]
+compute_seconds = [
+    r.compute_fraction * profile.total_time for r in profile.stats.ranks
+]
+plan = StaticPriorityBalancer().plan(compute_seconds, ProcessMapping.identity(4))
+results["static balancer (profile -> plan)"] = system.run(
+    bt_mz_programs(naive_works, iterations=ITER, profile="cfd", init_factor=0.5),
+    plan.mapping,
+    priorities=plan.priority_dict,
 )
-results["advisor (profile -> plan)"] = report.balanced
 
 table = TextTable(["approach", "exec time", "imbalance %", "vs naive"],
                   title="BT-MZ balancing approaches")
@@ -59,4 +65,4 @@ for name, run in results.items():
                    f"{run.imbalance_percent:.1f}", f"{delta:+.1f}%"])
 print()
 print(table.render())
-print(f"\nadvisor's plan: {report.assignment.describe()}")
+print(f"\nstatic balancer's plan: {plan.describe()}")

@@ -58,8 +58,6 @@ from repro.smt import (
 )
 from repro.trace import Trace, TraceStats, compute_stats, render_gantt
 from repro.cluster import (
-    ClusterSystem,
-    ClusterSystemConfig,
     ClusterConfig,
     ClusterMachine,
     NetworkModel,
@@ -101,8 +99,6 @@ __all__ = [
     "TraceStats",
     "compute_stats",
     "render_gantt",
-    "ClusterSystem",
-    "ClusterSystemConfig",
     "ClusterConfig",
     "ClusterMachine",
     "NetworkModel",

@@ -11,9 +11,10 @@ scales the simulation to many nodes:
   machine exposing the single-chip interface on global CPU ids (the MPI
   runtime and kernel layers work unchanged), with per-chip core groups so
   shared-cache coupling stays within a chip.
-* :mod:`repro.cluster.system` — :class:`ClusterSystem`, the multi-node
-  counterpart of :class:`repro.machine.system.System`: intra-node
-  messages use shared-memory costs, inter-node messages the topology's.
+* :mod:`repro.cluster.system` — ``ClusterSystem`` and
+  ``ClusterSystemConfig``, former names kept for older callers:
+  :class:`repro.machine.system.System` runs every machine, and
+  ``SystemConfig(n_nodes=..., network=...)`` describes a cluster.
 * :mod:`repro.cluster.spec` — :class:`TopologySpec`, the frozen,
   strictly-serialisable cluster shape a v3
   :class:`~repro.scenarios.ScenarioSpec` may carry.
@@ -27,7 +28,6 @@ from repro.cluster.topology import (
     network_from_doc,
 )
 from repro.cluster.machine import ClusterMachine, ClusterConfig
-from repro.cluster.system import ClusterSystem, ClusterSystemConfig
 from repro.cluster.spec import TopologySpec
 
 __all__ = [
@@ -42,3 +42,13 @@ __all__ = [
     "ClusterSystemConfig",
     "TopologySpec",
 ]
+
+
+def __getattr__(name: str):
+    # The compatibility names import the runner, which imports this
+    # package; resolving them on first use keeps the import acyclic.
+    if name in ("ClusterSystem", "ClusterSystemConfig"):
+        from repro.cluster import system
+
+        return getattr(system, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,20 +13,16 @@ coupling within each chip.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.errors import ConfigurationError, ValidationError
+from repro.errors import ConfigurationError
 from repro.smt.chip import ChipConfig, Power5Chip
 from repro.smt.core import SmtCore
 from repro.smt.instructions import LoadProfile
 from repro.smt.priorities import HardwarePriority
-from repro.util.fingerprint import fingerprint_doc
 from repro.util.validation import check_positive
 
 __all__ = ["ClusterConfig", "ClusterMachine"]
-
-_CHIP_FIELDS = ("n_cores", "threads_per_core", "freq_hz")
-_CLUSTER_FIELDS = ("n_nodes", "chip")
 
 
 @dataclass(frozen=True)
@@ -52,68 +48,6 @@ class ClusterConfig:
     def freq_hz(self) -> float:
         return self.chip.freq_hz
 
-    # -- wire format -----------------------------------------------------------
-
-    def to_doc(self) -> Dict[str, Any]:
-        """JSON-safe document (round-trips through :meth:`from_doc`)."""
-        return {
-            "n_nodes": self.n_nodes,
-            "chip": {
-                "n_cores": self.chip.n_cores,
-                "threads_per_core": self.chip.threads_per_core,
-                "freq_hz": self.chip.freq_hz,
-            },
-        }
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "ClusterConfig":
-        """Strict inverse of :meth:`to_doc` — unknown fields are rejected."""
-        if not isinstance(doc, Mapping):
-            raise ValidationError(
-                f"cluster document must be a mapping, got {type(doc).__name__}"
-            )
-        unknown = sorted(set(doc) - set(_CLUSTER_FIELDS))
-        if unknown:
-            raise ValidationError(f"unknown cluster fields: {unknown}")
-        n_nodes = doc.get("n_nodes", 2)
-        if isinstance(n_nodes, bool) or not isinstance(n_nodes, int):
-            raise ValidationError(
-                f"cluster field 'n_nodes' must be an int, got {type(n_nodes).__name__}"
-            )
-        chip_doc = doc.get("chip", {})
-        if not isinstance(chip_doc, Mapping):
-            raise ValidationError(
-                f"cluster field 'chip' must be a mapping, got {type(chip_doc).__name__}"
-            )
-        unknown = sorted(set(chip_doc) - set(_CHIP_FIELDS))
-        if unknown:
-            raise ValidationError(f"unknown chip fields: {unknown}")
-        for name in ("n_cores", "threads_per_core"):
-            value = chip_doc.get(name, 2)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValidationError(
-                    f"chip field {name!r} must be an int, got {type(value).__name__}"
-                )
-        freq = chip_doc.get("freq_hz", ChipConfig.freq_hz)
-        if isinstance(freq, bool) or not isinstance(freq, (int, float)):
-            raise ValidationError(
-                f"chip field 'freq_hz' must be a number, got {type(freq).__name__}"
-            )
-        try:
-            chip = ChipConfig(
-                n_cores=chip_doc.get("n_cores", 2),
-                threads_per_core=chip_doc.get("threads_per_core", 2),
-                freq_hz=float(freq),
-            )
-            return cls(n_nodes=n_nodes, chip=chip)
-        except ConfigurationError as exc:
-            raise ValidationError(f"invalid cluster document: {exc}") from exc
-
-    @property
-    def fingerprint(self) -> str:
-        """Canonical content hash of :meth:`to_doc`."""
-        return fingerprint_doc(self.to_doc())
-
 
 class ClusterMachine:
     """Multi-chip machine with the single-chip surface on global CPUs."""
@@ -122,6 +56,14 @@ class ClusterMachine:
         self.config = config or ClusterConfig()
         self.chips: List[Power5Chip] = [
             Power5Chip(self.config.chip) for _ in range(self.config.n_nodes)
+        ]
+        #: Global CPU -> (its core, thread), resolved once: the kernel
+        #: and the dynamic balancer address contexts on every event.
+        self._contexts: List[Tuple[SmtCore, int]] = [
+            (core, thread)
+            for chip in self.chips
+            for core in chip.cores
+            for thread in (0, 1)
         ]
 
     # -- addressing ------------------------------------------------------------
@@ -162,24 +104,28 @@ class ClusterMachine:
             for k in range(self.config.n_nodes)
         ]
 
-    def _chip_cpu(self, cpu: int) -> Tuple[Power5Chip, int]:
-        return self.chips[self.node_of_cpu(cpu)], self.local_cpu(cpu)
+    def _context(self, cpu: int) -> Tuple[SmtCore, int]:
+        if not 0 <= cpu < len(self._contexts):
+            raise ConfigurationError(
+                f"cpu must be in 0..{len(self._contexts) - 1}, got {cpu}"
+            )
+        return self._contexts[cpu]
 
     def priority(self, cpu: int) -> HardwarePriority:
-        chip, local = self._chip_cpu(cpu)
-        return chip.priority(local)
+        core, thread = self._context(cpu)
+        return core.priority(thread)
 
     def set_priority(self, cpu: int, priority: int) -> None:
-        chip, local = self._chip_cpu(cpu)
-        chip.set_priority(local, priority)
+        core, thread = self._context(cpu)
+        core.set_priority(thread, priority)
 
     def load(self, cpu: int) -> Optional[LoadProfile]:
-        chip, local = self._chip_cpu(cpu)
-        return chip.load(local)
+        core, thread = self._context(cpu)
+        return core.load(thread)
 
     def set_load(self, cpu: int, profile: Optional[LoadProfile]) -> None:
-        chip, local = self._chip_cpu(cpu)
-        chip.set_load(local, profile)
+        core, thread = self._context(cpu)
+        core.set_load(thread, profile)
 
     def reset(self) -> None:
         for chip in self.chips:

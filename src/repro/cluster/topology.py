@@ -5,7 +5,7 @@ scheduler has placed processes that need to communicate 'far away', their
 communication latency could increase so much that the whole application
 will be affected."* These models supply per-node-pair latency and
 bandwidth; rank-pair communication costs are derived from them by
-:class:`~repro.cluster.system.ClusterSystem`.
+:class:`~repro.machine.system.System`.
 
 Every concrete model carries a ``kind`` discriminator and serialises
 through strict ``to_doc``/``from_doc`` (unknown fields rejected, like

@@ -595,7 +595,7 @@ def two_level_search(
     ``max_gap`` — the same grammar as :func:`candidate_assignments`)
     while the other nodes hold their current best; a node's winner is
     adopted only on strict improvement. ``system`` is typically a
-    :class:`~repro.cluster.system.ClusterSystem`; anything with the
+    multi-node :class:`~repro.machine.system.System`; anything with the
     ``System.run`` signature works. The result ranks everything both
     stages evaluated, best first.
     """

@@ -1,9 +1,11 @@
-"""System: the simulated IBM OpenPower 710 as one object.
+"""System: the simulated machine as one object — the only runner.
 
-Wires a :class:`~repro.smt.chip.Power5Chip`, a kernel model
-(standard/patched), the privilege-checked priority controller, optional
-kernel-event sources (ticks, interrupts, noise) and a throughput model
-into a single entry point::
+Wires ``n_nodes`` POWER5 chips (one
+:class:`~repro.cluster.machine.ClusterMachine`; the default single node
+is the paper's IBM OpenPower 710), a kernel model (standard/patched),
+the privilege-checked priority controller, optional kernel-event
+sources (ticks, interrupts, noise), a throughput model and, between
+nodes, a network model into a single entry point::
 
     system = System(SystemConfig(kernel="patched"))
     result = system.run(
@@ -13,16 +15,20 @@ into a single entry point::
     )
 
 Each :meth:`System.run` builds a fresh machine (chip state, scheduler,
-runtime), so a ``System`` can run many experiments independently.
+runtime), so a ``System`` can run many experiments independently. A
+1-node machine is the single chip: messages only cross the network
+model when the mapping places ranks on more than one node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Iterator, List, Mapping, Optional, Sequence
 
 import heapq
 
+from repro.cluster.machine import ClusterConfig, ClusterMachine
+from repro.cluster.topology import NetworkModel, UniformNetwork
 from repro.errors import ConfigurationError
 from repro.kernel.hmt import Actor, HmtController
 from repro.kernel.interrupts import InterruptSource, KernelEvent, TimerTickSource
@@ -30,22 +36,34 @@ from repro.kernel.kernel import KernelModel, make_kernel
 from repro.kernel.noise import NoiseConfig, make_noise_sources
 from repro.kernel.scheduler import PinnedScheduler
 from repro.machine.mapping import ProcessMapping
+from repro.mpi.p2p import CommCosts
 from repro.mpi.process import RankProgram
 from repro.mpi.runtime import MpiRuntime, RunResult, RuntimeConfig
 from repro.smt.analytic import AnalyticModelConfig, AnalyticThroughputModel
-from repro.smt.chip import ChipConfig, Power5Chip
+from repro.smt.chip import ChipConfig
 from repro.smt.instructions import LoadProfile
 from repro.smt.throughput import ThroughputTable
 from repro.util.rng import RngStreams
+from repro.util.validation import check_positive, check_type
 
-__all__ = ["SystemConfig", "System"]
+__all__ = ["SystemConfig", "System", "NETWORK_EAGER_THRESHOLD"]
+
+#: Eager/rendezvous switch for inter-node messages (network transports
+#: buffer less than shared memory).
+NETWORK_EAGER_THRESHOLD = 16384
 
 
 @dataclass(frozen=True)
 class SystemConfig:
     """Everything configurable about the simulated machine."""
 
+    #: The chip of every node.
     chip: ChipConfig = field(default_factory=ChipConfig)
+    #: Identical nodes behind ``network``; node ``k`` owns global CPUs
+    #: ``k * chip.n_cpus ..``. 1 is the paper's single chip.
+    n_nodes: int = 1
+    #: Per-node-pair latency/bandwidth for inter-node messages.
+    network: NetworkModel = field(default_factory=UniformNetwork)
     kernel: str = "patched"  # "standard" | "patched"
     model: str = "analytic"  # "analytic" | "cycle"
     runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
@@ -68,6 +86,8 @@ class SystemConfig:
     throughput_table_path: Optional[str] = None
 
     def __post_init__(self) -> None:
+        check_type("n_nodes", self.n_nodes, int)
+        check_positive("n_nodes", self.n_nodes)
         if self.kernel not in ("standard", "patched"):
             raise ConfigurationError(f"kernel must be standard|patched, got {self.kernel!r}")
         if self.model not in ("analytic", "cycle"):
@@ -94,6 +114,9 @@ class System:
 
     def __init__(self, config: Optional[SystemConfig] = None) -> None:
         self.config = config or SystemConfig()
+        self._machine_config = ClusterConfig(
+            n_nodes=self.config.n_nodes, chip=self.config.chip
+        )
         self._streams = RngStreams(self.config.seed)
         # The model is shared across runs so its memo cache warms up.
         if self.config.model == "analytic":
@@ -118,19 +141,46 @@ class System:
     # -- machine assembly -------------------------------------------------------
 
     def build_machine(self):
-        """Fresh (chip, hmt, scheduler, kernel) for one run."""
-        chip = Power5Chip(self.config.chip)
-        hmt = HmtController(chip)
-        scheduler = PinnedScheduler(chip.config.n_cpus)
+        """Fresh (machine, hmt, scheduler, kernel) for one run: one kernel
+        image spanning every node, pinning by global CPU."""
+        machine = ClusterMachine(self._machine_config)
+        hmt = HmtController(machine)
+        scheduler = PinnedScheduler(machine.config.n_cpus)
         kernel = make_kernel(self.config.kernel, hmt, scheduler)
-        return chip, hmt, scheduler, kernel
+        return machine, hmt, scheduler, kernel
+
+    def _pair_costs(self, rank_cpu: Mapping[int, int]):
+        """Per-rank-pair transfer parameters, or ``None`` when every rank
+        sits on one node (then every message uses shared memory and the
+        runtime's uniform costs apply without a per-pair lookup)."""
+        cpus_per_node = self._machine_config.cpus_per_node
+        rank_node = {rank: cpu // cpus_per_node for rank, cpu in rank_cpu.items()}
+        if len(set(rank_node.values())) <= 1:
+            return None
+        base = self.config.runtime.comm_costs
+        network = self.config.network
+
+        def costs(src: int, dst: int) -> CommCosts:
+            a, b = rank_node[src], rank_node[dst]
+            if a == b:
+                return base
+            return CommCosts(
+                latency=base.latency + network.latency(a, b),
+                bandwidth=min(base.bandwidth, network.bandwidth(a, b)),
+                eager_threshold=NETWORK_EAGER_THRESHOLD,
+                call_overhead=base.call_overhead,
+            )
+
+        return costs
 
     def _kernel_event_stream(self, horizon: float) -> Optional[Iterator[KernelEvent]]:
         cfg = self.config
         sources: List[object] = []
         if cfg.tick_hz > 0:
             sources.append(
-                TimerTickSource(list(range(cfg.chip.n_cpus)), hz=cfg.tick_hz)
+                TimerTickSource(
+                    list(range(self._machine_config.n_cpus)), hz=cfg.tick_hz
+                )
             )
         if cfg.irq_rate_hz > 0:
             sources.append(
@@ -160,6 +210,10 @@ class System:
 
         Parameters
         ----------
+        mapping:
+            rank -> *global* CPU (node ``k`` owns CPUs
+            ``k * chip.n_cpus ..``); defaults to packing ranks onto
+            nodes in order.
         priorities:
             rank -> hardware priority, installed through the kernel's
             ``/proc/<pid>/hmt_priority`` interface *before* launch — the
@@ -173,7 +227,8 @@ class System:
             raise ConfigurationError(
                 f"mapping covers {mapping.n_ranks} ranks but {len(programs)} programs given"
             )
-        chip, hmt, scheduler, kernel = self.build_machine()
+        rank_cpu = mapping.as_dict()
+        machine, hmt, scheduler, kernel = self.build_machine()
 
         on_start = None
         if priorities:
@@ -185,12 +240,12 @@ class System:
                 self._apply_priorities(kernel, hmt, wanted)
 
         runtime = MpiRuntime(
-            chip=chip,
+            chip=machine,
             kernel=kernel,
             hmt=hmt,
             model=self.model,
             programs=programs,
-            mapping=mapping.as_dict(),
+            mapping=rank_cpu,
             profiles=profiles,
             config=self.config.runtime,
             kernel_events=self._kernel_event_stream(
@@ -199,6 +254,7 @@ class System:
             label=label,
             on_start=on_start,
             controllers=controllers,
+            pair_costs=self._pair_costs(rank_cpu),
         )
         return runtime.run()
 

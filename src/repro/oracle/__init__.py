@@ -9,8 +9,8 @@ Three pillars, one package:
 * :mod:`repro.oracle.differential` — the same
   :class:`~repro.scenarios.ScenarioSpec` pushed through every engine in
   the :mod:`repro.scenarios` registry and compared under declared
-  tolerances; includes the seeded fuzz driver. (``Scenario`` and
-  ``ScenarioGenerator`` are re-exports kept for compatibility.)
+  tolerances; includes the seeded fuzz driver. (``ScenarioGenerator``
+  is a re-export kept for compatibility.)
 * :mod:`repro.oracle.golden` — versioned golden-trace snapshots under
   ``tests/golden/`` with ``record``/``check`` replay.
 """
@@ -27,7 +27,6 @@ from repro.oracle.checker import (
 from repro.oracle.differential import (
     ClusterEquivalenceCheck,
     ConformanceResult,
-    Scenario,
     ScenarioGenerator,
     Tolerances,
     check_cluster_equivalence,
@@ -63,7 +62,6 @@ __all__ = [
     "verify_trace",
     "ClusterEquivalenceCheck",
     "ConformanceResult",
-    "Scenario",
     "ScenarioGenerator",
     "Tolerances",
     "check_cluster_equivalence",

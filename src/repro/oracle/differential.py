@@ -12,10 +12,9 @@ cross-checks (incremental-rates on/off trace digests and the
 cache-equality model invariant). Register a fourth engine and it is
 cross-checked against the incumbents with no oracle change.
 
-The spec type, the generator and the digest helper all live in
-:mod:`repro.scenarios` now; this module re-exports them (and keeps
-``run_fluid``/``run_cycle``/``analytic_estimate`` as deprecated shims)
-so existing imports keep working.
+The generator and the digest helper live in :mod:`repro.scenarios`;
+this module re-exports them so existing imports keep working. Run one
+spec on one engine with ``get_engine(name).run(spec)``.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import OracleError, ValidationError
-from repro.mpi.runtime import RunResult
 from repro.oracle.checker import verify_model, verify_run
 from repro.scenarios.engines import fast_cycle_table, trace_digest
 from repro.scenarios.generator import ScenarioGenerator
@@ -35,67 +33,17 @@ from repro.smt.throughput import ThroughputTable
 from repro.util.validation import check_positive
 
 __all__ = [
-    "Scenario",
     "ScenarioGenerator",
     "Tolerances",
     "ConformanceResult",
     "ClusterEquivalenceCheck",
     "FuzzReport",
     "trace_digest",
-    "run_fluid",
-    "run_cycle",
-    "analytic_estimate",
     "check_conformance",
     "check_cluster_equivalence",
     "fuzz",
     "fast_cycle_table",
 ]
-
-#: Deprecated alias — the oracle's ``Scenario`` grew into the canonical
-#: :class:`repro.scenarios.ScenarioSpec`. Import that instead.
-Scenario = ScenarioSpec
-
-
-# -- deprecated single-path shims -------------------------------------------------
-#
-# The three hard-wired model paths are now engines; these wrappers keep
-# the historical signatures (returning a raw RunResult / float) for old
-# callers and tests. New code should resolve an engine from the registry.
-
-
-def run_fluid(
-    scenario: ScenarioSpec,
-    incremental_rates: bool = True,
-    check_invariants: bool = False,
-) -> RunResult:
-    """Deprecated: use ``get_engine("fluid").run(spec)``."""
-    return get_engine("fluid").run(
-        scenario,
-        label=f"oracle.{scenario.name}",
-        options={
-            "incremental_rates": incremental_rates,
-            "check_invariants": check_invariants,
-        },
-    ).run
-
-
-def run_cycle(
-    scenario: ScenarioSpec, table: Optional[ThroughputTable] = None
-) -> RunResult:
-    """Deprecated: use ``get_engine("cycle").run(spec)``."""
-    return get_engine("cycle").run(
-        scenario,
-        label=f"oracle.{scenario.name}.cycle",
-        options={"table": table if table is not None else fast_cycle_table(scenario.seed)},
-    ).run
-
-
-def analytic_estimate(
-    scenario: ScenarioSpec, model: Optional[AnalyticThroughputModel] = None
-) -> float:
-    """Deprecated: use ``get_engine("analytic").run(spec)``."""
-    options = {"model": model} if model is not None else None
-    return get_engine("analytic").run(scenario, options=options).total_time
 
 
 # -- conformance ----------------------------------------------------------------

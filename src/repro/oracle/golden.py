@@ -106,7 +106,7 @@ def default_scenarios() -> List[ScenarioSpec]:
         # nodes joined by a two-level tree forced onto separate switches
         # (nodes_per_switch=1), so every distant-pair exchange crosses
         # the far link. Pins the whole cluster path — TopologySpec wire
-        # format, ClusterSystem cross-node costs, per-node priority
+        # format, the System's cross-node costs, per-node priority
         # arbitration — to exact physics.
         ScenarioSpec(
             name="cluster-distant-pairs",

@@ -59,12 +59,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.cluster.spec import TopologySpec
-from repro.cluster.system import ClusterSystem, ClusterSystemConfig
 from repro.errors import ConfigurationError, SimulationError
 from repro.machine.system import System, SystemConfig
 from repro.mpi.runtime import RunResult, RuntimeConfig
 from repro.scenarios.spec import ScenarioSpec
 from repro.smt.analytic import AnalyticThroughputModel
+from repro.smt.chip import ChipConfig
 from repro.smt.instructions import BASE_PROFILES
 from repro.smt.throughput import ThroughputTable
 from repro.telemetry import CacheStats, default_registry, register_cache_metrics
@@ -161,6 +161,36 @@ def trace_digest(result: RunResult) -> str:
                 f"{tl.rank}:{iv.state.value}:{iv.start!r}:{iv.end!r}\n".encode()
             )
     return h.hexdigest()
+
+
+#: Logical CPUs per node: scenario machines are built from default chips.
+_CPUS_PER_NODE = ChipConfig().n_cpus
+
+
+def _placement(spec: ScenarioSpec, cpus_per_node: int) -> List[Tuple[int, int]]:
+    """``(node, node-local CPU)`` of every rank of ``spec``."""
+    mapping = spec.mapping_obj()
+    return [
+        divmod(mapping.cpu_of(rank), cpus_per_node) for rank in range(spec.n_ranks)
+    ]
+
+
+def _chip_state(loads: List, prios: List) -> tuple:
+    """Per-CPU load/priority rows as one chip query:
+    ``(load_a, load_b, prio_a, prio_b)`` per core."""
+    return tuple(
+        (loads[c], loads[c + 1], prios[c], prios[c + 1])
+        for c in range(0, len(loads), 2)
+    )
+
+
+def _state_key(core_states: tuple) -> tuple:
+    """The memo key :meth:`AnalyticThroughputModel.chip_ipc` files a
+    chip query under."""
+    return tuple(
+        (pa.name if pa else None, pb.name if pb else None, xa, xb)
+        for (pa, pb, xa, xb) in core_states
+    )
 
 
 def fast_cycle_table(seed: int = 0) -> ThroughputTable:
@@ -378,12 +408,11 @@ class FluidEngine(Engine):
         incremental: bool,
         invariants: bool,
         topology: Optional[TopologySpec] = None,
-    ):
+    ) -> System:
         """Per-thread warm Systems: the shared analytic model's memo
-        cache warms across runs on the same worker. Topology-bearing
-        specs get a :class:`~repro.cluster.ClusterSystem` keyed by their
-        (hashable) :class:`~repro.cluster.TopologySpec` — one warm
-        cluster per distinct shape per thread."""
+        cache warms across runs on the same worker. Keyed by the
+        (hashable) :class:`~repro.cluster.TopologySpec` too — one warm
+        System per distinct machine shape per thread."""
         cache: Optional[Dict[tuple, System]] = getattr(
             self._local, "systems", None
         )
@@ -392,20 +421,16 @@ class FluidEngine(Engine):
         key = (seed, incremental, invariants, topology)
         system = cache.get(key)
         if system is None:
-            runtime = RuntimeConfig(
-                incremental_rates=incremental,
-                check_invariants=invariants,
-            )
-            if topology is None:
-                system = System(SystemConfig(seed=seed, runtime=runtime))
-            else:
-                system = ClusterSystem(
-                    ClusterSystemConfig(
-                        cluster=topology.cluster_config(),
-                        network=topology.network_model(),
-                        runtime=runtime,
-                    )
-                )
+            shape = topology or TopologySpec(n_nodes=1)
+            system = System(SystemConfig(
+                n_nodes=shape.n_nodes,
+                network=shape.network_model(),
+                seed=seed,
+                runtime=RuntimeConfig(
+                    incremental_rates=incremental,
+                    check_invariants=invariants,
+                ),
+            ))
             cache[key] = system
             with self._systems_lock:
                 self._systems.append(system)
@@ -497,15 +522,7 @@ class FluidEngine(Engine):
         states = []
         for spec in specs:
             for core_states in self._candidate_chip_states(system, spec):
-                key = tuple(
-                    (
-                        pa.name if pa else None,
-                        pb.name if pb else None,
-                        xa,
-                        xb,
-                    )
-                    for (pa, pb, xa, xb) in core_states
-                )
+                key = _state_key(core_states)
                 if key not in seen and key not in chip_cache:
                     seen.add(key)
                     states.append(core_states)
@@ -515,9 +532,9 @@ class FluidEngine(Engine):
     def _candidate_chip_states(self, system, spec: ScenarioSpec):
         """Chip states ``spec``'s event loop is expected to query.
 
-        Mirrors the runtime's state construction: a plain chip is one
-        core group covering *all* cores (idle contexts included, at the
-        default MEDIUM priority); static priorities are applied at t=0;
+        Mirrors the runtime's state construction: each node's chip is
+        one core group covering *all* its cores (idle contexts included,
+        at the default MEDIUM priority); static priorities are applied at t=0;
         each mapped context is either computing ``spec.profile`` or
         parked in the wait posture (the spin profile under the default
         ``wait_mode="spin"``, an empty context under ``"block"``).
@@ -525,9 +542,9 @@ class FluidEngine(Engine):
         context — at most ``2**n_ranks`` states, of which a run
         typically visits a handful.
 
-        On a cluster the throughput-coupling domain is one *node* chip
-        (the runtime's ``core_groups``), so the posture product runs
-        per node and yields that node's chip states — never a
+        The throughput-coupling domain is one node's chip (the
+        runtime's ``core_groups``), so the posture product runs per
+        occupied node and yields that node's chip states — never a
         cross-node product, which would be exponentially larger and
         query states no chip ever sees.
         """
@@ -537,43 +554,22 @@ class FluidEngine(Engine):
         else:
             wait_load = None
         profile = BASE_PROFILES[spec.profile]
-        mapping = spec.mapping_obj()
         prios = spec.priority_dict() or {}
-
-        if spec.topology is not None:
-            cpus_per_chip = spec.topology.cpus_per_node
-            chip_cores = cpus_per_chip // 2
-        else:
-            chip_cores = system.config.chip.n_cores
-            cpus_per_chip = 2 * chip_cores
-
-        by_chip: Dict[int, List[int]] = {}
-        cpu_prio: Dict[int, int] = {}
-        for rank in range(spec.n_ranks):
-            cpu = mapping.cpu_of(rank)
-            cpu_prio[cpu] = int(prios.get(rank, 4))
-            chip = cpu // cpus_per_chip if spec.topology is not None else 0
-            by_chip.setdefault(chip, []).append(cpu)
-
-        for chip, mapped_cpus in by_chip.items():
-            base = chip * cpus_per_chip
-            prio_row = [
-                cpu_prio.get(base + local, 4) for local in range(cpus_per_chip)
-            ]
+        n_cpus = system.config.chip.n_cpus
+        placement = _placement(spec, n_cpus)
+        by_node: Dict[int, List[int]] = {}
+        for rank, (node, _local) in enumerate(placement):
+            by_node.setdefault(node, []).append(rank)
+        for ranks in by_node.values():
+            prio_row = [4] * n_cpus
+            for rank in ranks:
+                prio_row[placement[rank][1]] = int(prios.get(rank, 4))
             for postures in itertools.product((profile, wait_load),
-                                              repeat=len(mapped_cpus)):
-                load_row = [None] * cpus_per_chip
-                for cpu, load in zip(mapped_cpus, postures):
-                    load_row[cpu - base] = load
-                yield tuple(
-                    (
-                        load_row[2 * core],
-                        load_row[2 * core + 1],
-                        prio_row[2 * core],
-                        prio_row[2 * core + 1],
-                    )
-                    for core in range(chip_cores)
-                )
+                                              repeat=len(ranks)):
+                load_row = [None] * n_cpus
+                for rank, load in zip(ranks, postures):
+                    load_row[placement[rank][1]] = load
+                yield _chip_state(load_row, prio_row)
 
 
 class CycleEngine(Engine):
@@ -738,69 +734,24 @@ class AnalyticEngine(Engine):
         )
 
     @staticmethod
-    def _core_states(spec: ScenarioSpec, mapping):
-        """The steady-state chip query for ``spec``: every mapped context
-        runs its profile at its static priority."""
+    def _node_states(spec: ScenarioSpec, placement) -> Dict[int, tuple]:
+        """The steady-state chip query of every occupied node: each
+        mapped context runs its profile at its static priority, idle
+        contexts sit at MEDIUM (the coupling domain is one node's chip,
+        exactly like the runtime's per-node core groups)."""
         prios = spec.priority_dict() or {}
         profile = BASE_PROFILES[spec.profile]
-
-        n_cores = max(mapping.cpu_of(r) for r in range(spec.n_ranks)) // 2 + 1
-        loads: List[List[Optional[object]]] = [
-            [None, None] for _ in range(n_cores)
-        ]
-        priolist = [[4, 4] for _ in range(n_cores)]
-        for rank in range(spec.n_ranks):
-            cpu = mapping.cpu_of(rank)
-            loads[cpu // 2][cpu % 2] = profile
-            priolist[cpu // 2][cpu % 2] = prios.get(rank, 4)
-        return tuple(
-            (loads[c][0], loads[c][1], priolist[c][0], priolist[c][1])
-            for c in range(n_cores)
-        )
-
-    @staticmethod
-    def _cluster_ipcs(
-        spec: ScenarioSpec, mapping, model: AnalyticThroughputModel
-    ) -> List[Tuple[float, float]]:
-        """Per-global-core IPC pairs for a topology spec.
-
-        The coupling domain is one node's chip, so each occupied node is
-        solved as its own chip query (idle contexts at MEDIUM, exactly
-        like the runtime's per-node core groups); the results are laid
-        out flat so ``global core = global cpu // 2`` indexes them.
-        """
-        prios = spec.priority_dict() or {}
-        profile = BASE_PROFILES[spec.profile]
-        cpus_per_node = spec.topology.cpus_per_node
-        cores_per_node = cpus_per_node // 2
-
-        by_node: Dict[int, List[int]] = {}
-        cpu_prio: Dict[int, int] = {}
-        cpu_load: Dict[int, object] = {}
-        for rank in range(spec.n_ranks):
-            cpu = mapping.cpu_of(rank)
-            cpu_prio[cpu] = prios.get(rank, 4)
-            cpu_load[cpu] = profile
-            by_node.setdefault(cpu // cpus_per_node, []).append(cpu)
-
-        ipcs: List[Tuple[float, float]] = [
-            (0.0, 0.0)
-        ] * (spec.topology.n_nodes * cores_per_node)
-        for node in sorted(by_node):
-            base = node * cpus_per_node
-            states = tuple(
-                (
-                    cpu_load.get(base + 2 * c),
-                    cpu_load.get(base + 2 * c + 1),
-                    cpu_prio.get(base + 2 * c, 4),
-                    cpu_prio.get(base + 2 * c + 1, 4),
-                )
-                for c in range(cores_per_node)
-            )
-            solved = model.chip_ipc(states)
-            for c, pair in enumerate(solved):
-                ipcs[node * cores_per_node + c] = tuple(pair)
-        return ipcs
+        loads: Dict[int, List] = {}
+        prio_rows: Dict[int, List] = {}
+        for rank, (node, local) in enumerate(placement):
+            if node not in loads:
+                loads[node] = [None] * _CPUS_PER_NODE
+                prio_rows[node] = [4] * _CPUS_PER_NODE
+            loads[node][local] = profile
+            prio_rows[node][local] = prios.get(rank, 4)
+        return {
+            node: _chip_state(loads[node], prio_rows[node]) for node in loads
+        }
 
     def run(
         self,
@@ -816,23 +767,26 @@ class AnalyticEngine(Engine):
         opts = self._opts(options)
         model: AnalyticThroughputModel = opts.get("model") or self._model
         t0 = time.perf_counter()
-        mapping = spec.mapping_obj()
-        if spec.topology is not None:
-            ipcs = self._cluster_ipcs(spec, mapping, model)
-        else:
-            core_states = self._core_states(spec, mapping)
-            ipcs = model.chip_ipc(core_states)
-        return self._finish(spec, label, mapping, ipcs, t0)
+        placement = _placement(spec, _CPUS_PER_NODE)
+        node_ipcs = {
+            node: model.chip_ipc(states)
+            for node, states in self._node_states(spec, placement).items()
+        }
+        return self._finish(spec, label, placement, node_ipcs, t0)
 
     def _finish(
-        self, spec: ScenarioSpec, label: Optional[str], mapping, ipcs, t0: float
+        self,
+        spec: ScenarioSpec,
+        label: Optional[str],
+        placement,
+        node_ipcs: Dict[int, tuple],
+        t0: float,
     ) -> ExecutionResult:
         """The closed form proper: bottleneck rank's work over its IPC."""
         freq = _default_freq_hz()
         worst = 0.0
-        for rank in range(spec.n_ranks):
-            cpu = mapping.cpu_of(rank)
-            ipc = ipcs[cpu // 2][cpu % 2]
+        for rank, (node, local) in enumerate(placement):
+            ipc = node_ipcs[node][local // 2][local % 2]
             if ipc <= 0.0:
                 raise SimulationError(
                     f"scenario {spec.name!r}: rank {rank} has zero "
@@ -859,8 +813,8 @@ class AnalyticEngine(Engine):
     ) -> List[ExecutionResult]:
         """Batch execution: one stacked solve for the whole batch.
 
-        Every spec's steady-state chip query is collected, deduped, and
-        the cache misses solved in a single vectorized call
+        Every spec's per-node steady-state chip queries are collected,
+        deduped, and the cache misses solved in a single vectorized call
         (:meth:`AnalyticThroughputModel.chip_ipc_stack`, which reads and
         fills the same memo caches scalar queries use); the closed form
         per spec then consumes the solved IPCs directly. Identical to
@@ -870,49 +824,23 @@ class AnalyticEngine(Engine):
         opts = self._opts(options)
         model: AnalyticThroughputModel = opts.get("model") or self._model
         batch_t0 = time.perf_counter()
-        results: List[Optional[ExecutionResult]] = [None] * len(specs)
-        # Topology specs take the scalar per-node path (their per-node
-        # chips would not stack homogeneously with single-chip queries);
-        # results stay index-aligned with the input.
-        flat_idx = [
-            i for i, spec in enumerate(specs) if spec.topology is None
-        ]
-        for i, spec in enumerate(specs):
-            if spec.topology is not None:
-                results[i] = self.run(spec, label=labels[i], options=options)
-        flat_specs = [specs[i] for i in flat_idx]
-        flat_labels = [labels[i] for i in flat_idx]
-        mappings = [spec.mapping_obj() for spec in flat_specs]
-        states = [
-            self._core_states(spec, mapping)
-            for spec, mapping in zip(flat_specs, mappings)
-        ]
-        stack = getattr(model, "chip_ipc_stack", None)
-        if stack is not None and flat_specs:
-            keys = [
-                tuple(
-                    (
-                        pa.name if pa else None,
-                        pb.name if pb else None,
-                        xa,
-                        xb,
-                    )
-                    for (pa, pb, xa, xb) in core_states
-                )
-                for core_states in states
-            ]
-            unique = {}
-            for key, core_states in zip(keys, states):
-                unique.setdefault(key, core_states)
-            solved = stack(list(unique.values()))
-            by_key = dict(zip(unique, solved))
-            for i, spec, label, mapping, key in zip(
-                flat_idx, flat_specs, flat_labels, mappings, keys
-            ):
-                t0 = time.perf_counter()
-                results[i] = self._finish(spec, label, mapping, by_key[key], t0)
-        else:
-            for i, spec, label in zip(flat_idx, flat_specs, flat_labels):
-                results[i] = self.run(spec, label=label, options=options)
+        placements = [_placement(spec, _CPUS_PER_NODE) for spec in specs]
+        node_keys = []
+        unique: Dict[tuple, tuple] = {}
+        for spec, placement in zip(specs, placements):
+            keys = {}
+            for node, states in self._node_states(spec, placement).items():
+                keys[node] = key = _state_key(states)
+                unique.setdefault(key, states)
+            node_keys.append(keys)
+        solved = model.chip_ipc_stack(list(unique.values())) if unique else []
+        by_key = dict(zip(unique, solved))
+        results = []
+        for spec, label, placement, keys in zip(
+            specs, labels, placements, node_keys
+        ):
+            t0 = time.perf_counter()
+            node_ipcs = {node: by_key[key] for node, key in keys.items()}
+            results.append(self._finish(spec, label, placement, node_ipcs, t0))
         _observe_batch(self.name, len(specs), time.perf_counter() - batch_t0)
         return results

@@ -209,8 +209,9 @@ class ScenarioSpec:
     params: Tuple[Tuple[str, _ParamValue], ...] = ()
     #: ``None`` = the default single chip (every pre-v3 scenario).
     #: A :class:`~repro.cluster.TopologySpec` (or its document form)
-    #: retargets the run to that cluster; engines route such specs
-    #: through :class:`~repro.cluster.ClusterSystem`.
+    #: retargets the run to that cluster: the engines build their
+    #: :class:`~repro.machine.system.System` with its node count and
+    #: network.
     topology: Optional[TopologySpec] = None
 
     def __post_init__(self) -> None:

@@ -7,7 +7,9 @@ Endpoints
     with the job document when it completed immediately (cache hit), 202
     while queued/running/coalesced, 400 on a malformed spec, and 429
     with a ``Retry-After`` header when the queue exerts backpressure.
-    ``?wait=<seconds>`` blocks up to that long for completion first.
+    ``?wait=<seconds>`` blocks up to that long for completion first; a
+    non-finite or negative ``wait`` or ``Content-Length`` is a 400, and
+    nothing is submitted.
 ``POST /v1/jobs:batch``
     Body: ``{"jobs": [<spec>, ...]}``. Admits every entry independently
     and returns one entry per input in order (job document, or an
@@ -38,6 +40,7 @@ worker pool, not the HTTP layer.
 from __future__ import annotations
 
 import json
+import math
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
@@ -61,6 +64,10 @@ __all__ = ["make_server", "serve"]
 
 #: Cap on ?wait= so a client cannot pin an HTTP thread forever.
 MAX_WAIT_S = 600.0
+
+
+class _BadRequest(Exception):
+    """A request answered with 400 before any work is done."""
 
 
 def _make_handler(service: ScenarioService, quiet: bool = True):
@@ -97,6 +104,38 @@ def _make_handler(service: ScenarioService, quiet: bool = True):
         def _route(self) -> Tuple[str, dict]:
             parsed = urlparse(self.path)
             return parsed.path.rstrip("/") or "/", parse_qs(parsed.query)
+
+        def _read_json(self) -> object:
+            """The request body as JSON (``{}`` when empty). An unusable
+            ``Content-Length`` leaves the body unread, so the connection
+            closes after the 400."""
+            raw = self.headers.get("Content-Length", "0")
+            try:
+                length = int(raw)
+            except ValueError:
+                length = -1
+            if length < 0:
+                self.close_connection = True
+                raise _BadRequest(f"bad Content-Length {raw!r}")
+            body = self.rfile.read(length) if length else b""
+            try:
+                return json.loads(body.decode("utf-8")) if body else {}
+            except (ValueError, UnicodeDecodeError) as exc:
+                raise _BadRequest(f"unreadable JSON body: {exc}") from exc
+
+        def _wait_s(self, query: dict) -> Optional[float]:
+            """``?wait=`` in seconds, capped at :data:`MAX_WAIT_S`;
+            ``None`` when absent."""
+            raw = query.get("wait", [None])[0]
+            if raw is None:
+                return None
+            try:
+                wait_s = float(raw)
+            except ValueError:
+                wait_s = math.nan
+            if not math.isfinite(wait_s) or wait_s < 0:
+                raise _BadRequest(f"bad wait value {raw!r}")
+            return min(wait_s, MAX_WAIT_S)
 
         def _wants_prometheus(self, query: dict) -> bool:
             """Content negotiation for /metrics: JSON stays the default
@@ -157,18 +196,19 @@ def _make_handler(service: ScenarioService, quiet: bool = True):
 
         def do_POST(self) -> None:  # noqa: N802 — stdlib handler API
             path, query = self._route()
-            if path == "/v1/jobs:batch":
-                self._post_jobs_batch(query)
-                return
-            if path != "/v1/jobs":
+            if path not in ("/v1/jobs", "/v1/jobs:batch"):
                 self._error(404, f"no route for POST {path}")
                 return
+            # Everything the request carries is checked before anything
+            # is submitted: a 400 never leaves a job behind.
             try:
-                length = int(self.headers.get("Content-Length", "0"))
-                body = self.rfile.read(length) if length else b""
-                doc = json.loads(body.decode("utf-8")) if body else {}
-            except (ValueError, UnicodeDecodeError) as exc:
-                self._error(400, f"unreadable JSON body: {exc}")
+                doc = self._read_json()
+                wait_s = self._wait_s(query)
+            except _BadRequest as exc:
+                self._error(400, str(exc))
+                return
+            if path == "/v1/jobs:batch":
+                self._post_jobs_batch(doc, wait_s)
                 return
             try:
                 spec = JobSpec.from_doc(doc)
@@ -187,19 +227,15 @@ def _make_handler(service: ScenarioService, quiet: bool = True):
             except ServiceError as exc:
                 self._error(503, str(exc))
                 return
-            wait_raw = query.get("wait", [None])[0]
-            if wait_raw is not None:
-                try:
-                    wait_s = min(float(wait_raw), MAX_WAIT_S)
-                except ValueError:
-                    self._error(400, f"bad wait value {wait_raw!r}")
-                    return
+            if wait_s is not None:
                 job = service.wait(job.id, timeout=wait_s)
             self._send_json(
                 200 if job.state.terminal else 202, job.to_doc()
             )
 
-        def _post_jobs_batch(self, query: dict) -> None:
+        def _post_jobs_batch(
+            self, doc: object, wait_s: Optional[float]
+        ) -> None:
             """Bulk submit: ``{"jobs": [<spec>, ...]}``.
 
             Every entry is admitted independently (same path as
@@ -211,13 +247,6 @@ def _make_handler(service: ScenarioService, quiet: bool = True):
             malformed. ``?wait=<seconds>`` blocks up to that long for
             the admitted jobs collectively.
             """
-            try:
-                length = int(self.headers.get("Content-Length", "0"))
-                body = self.rfile.read(length) if length else b""
-                doc = json.loads(body.decode("utf-8")) if body else {}
-            except (ValueError, UnicodeDecodeError) as exc:
-                self._error(400, f"unreadable JSON body: {exc}")
-                return
             if not isinstance(doc, dict) or not isinstance(
                 doc.get("jobs"), list
             ):
@@ -225,14 +254,6 @@ def _make_handler(service: ScenarioService, quiet: bool = True):
                     400, 'batch body must be {"jobs": [<job spec>, ...]}'
                 )
                 return
-            wait_raw = query.get("wait", [None])[0]
-            wait_s = None
-            if wait_raw is not None:
-                try:
-                    wait_s = min(float(wait_raw), MAX_WAIT_S)
-                except ValueError:
-                    self._error(400, f"bad wait value {wait_raw!r}")
-                    return
             entries = []
             jobs = []
             errors = 0

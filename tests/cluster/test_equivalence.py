@@ -1,7 +1,7 @@
 """The 1-node differential law: a single-node cluster IS the chip.
 
-A ClusterSystem with ``n_nodes=1`` must be byte-equivalent to the
-single-chip System — identical trace digest and total time under the
+A spec on a 1-node topology must be byte-equivalent to the same spec
+on the single chip — identical trace digest and total time under the
 fluid engine, identical closed-form time under the analytic engine.
 This is the oracle that keeps the cluster layer honest: any divergence
 means the network model or per-node scheduling leaked into the

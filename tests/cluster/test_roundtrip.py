@@ -1,7 +1,7 @@
-"""Cluster config serialisation: to_doc/from_doc round-trips.
+"""Cluster wire formats: to_doc/from_doc round-trips.
 
-The cluster layer's docs travel inside spec-v3 scenario documents and
-the oracle's golden snapshots, so every config type must round-trip
+Network models and :class:`TopologySpec` travel inside spec-v3 scenario
+documents and the oracle's golden snapshots, so each must round-trip
 through its canonical JSON byte-identically — same contract the
 ScenarioSpec tests pin for the scenarios layer.
 """
@@ -13,14 +13,12 @@ import pytest
 from repro.cluster import (
     NETWORK_KINDS,
     ClusterConfig,
-    ClusterSystemConfig,
     TopologySpec,
     TwoLevelTree,
     UniformNetwork,
     network_from_doc,
 )
 from repro.errors import ValidationError
-from repro.util.fingerprint import fingerprint_doc
 
 
 def canonical(doc) -> str:
@@ -61,36 +59,6 @@ class TestNetworkRoundTrip:
         net = TwoLevelTree(nodes_per_switch=2)
         wire = json.dumps(net.to_doc())
         assert network_from_doc(json.loads(wire)) == net
-
-
-class TestClusterConfigRoundTrip:
-    def test_round_trip(self):
-        config = ClusterConfig(n_nodes=4)
-        again = ClusterConfig.from_doc(config.to_doc())
-        assert again == config
-        assert canonical(again.to_doc()) == canonical(config.to_doc())
-
-    def test_fingerprint_is_content_addressed(self):
-        a = fingerprint_doc(ClusterConfig(n_nodes=2).to_doc())
-        b = fingerprint_doc(ClusterConfig(n_nodes=3).to_doc())
-        assert a != b
-
-
-class TestClusterSystemConfigRoundTrip:
-    @pytest.mark.parametrize(
-        "network", [UniformNetwork(), TwoLevelTree(nodes_per_switch=2)]
-    )
-    def test_round_trip_both_networks(self, network):
-        config = ClusterSystemConfig(
-            cluster=ClusterConfig(n_nodes=4), network=network
-        )
-        again = ClusterSystemConfig.from_doc(config.to_doc())
-        assert again == config
-        assert canonical(again.to_doc()) == canonical(config.to_doc())
-
-    def test_defaults_round_trip(self):
-        config = ClusterSystemConfig()
-        assert ClusterSystemConfig.from_doc(config.to_doc()) == config
 
 
 class TestTopologySpecRoundTrip:

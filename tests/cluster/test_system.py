@@ -9,8 +9,11 @@ from repro.cluster import (
     TwoLevelTree,
     UniformNetwork,
 )
+from repro.core import joint_search
 from repro.errors import ConfigurationError
 from repro.machine.mapping import ProcessMapping
+from repro.machine.system import System, SystemConfig
+from repro.scenarios.engines import trace_digest
 from repro.workloads.generators import barrier_loop_programs
 
 
@@ -32,7 +35,7 @@ def pingpong_programs(peer, rounds=10, nbytes=1 << 20):
 
 @pytest.fixture()
 def cluster():
-    return ClusterSystem(ClusterSystemConfig(cluster=ClusterConfig(n_nodes=2)))
+    return System(SystemConfig(n_nodes=2))
 
 
 class TestClusterRuns:
@@ -93,9 +96,9 @@ class TestTopologyImbalance:
     def test_far_neighbour_creates_extrinsic_imbalance(self):
         """The paper's 'network topology' extrinsic cause: identical work,
         but one rank's barrier-partner messages cross the spine."""
-        system = ClusterSystem(
-            ClusterSystemConfig(
-                cluster=ClusterConfig(n_nodes=4),
+        system = System(
+            SystemConfig(
+                n_nodes=4,
                 network=TwoLevelTree(
                     nodes_per_switch=2, far_latency=4e-3, far_bandwidth=40e6
                 ),
@@ -125,3 +128,42 @@ class TestTopologyImbalance:
             ProcessMapping.from_dict({0: 0, 1: 8}),
         ).total_time
         assert far > near * 1.2
+
+
+class TestOneRunner:
+    def test_former_cluster_names_run_the_same_trace(self):
+        """``ClusterSystem``/``ClusterSystemConfig`` remain as names for
+        older callers: they build the same System and run the same trace."""
+        old = ClusterSystem(
+            ClusterSystemConfig(
+                cluster=ClusterConfig(n_nodes=2), network=UniformNetwork()
+            )
+        )
+        new = System(SystemConfig(n_nodes=2, network=UniformNetwork()))
+        assert isinstance(old, System)
+        assert old.config == new.config
+        # CPUs 0 and 4 sit on different nodes: messages cross the network.
+        mapping = ProcessMapping.from_dict({0: 0, 1: 4})
+        old_run = old.run(pingpong_programs(1), mapping)
+        new_run = new.run(pingpong_programs(1), mapping)
+        assert trace_digest(old_run) == trace_digest(new_run)
+        assert old_run.total_time == new_run.total_time
+
+    @pytest.mark.parametrize("n_nodes", [1, 2])
+    def test_joint_search_defaults_to_one_node_chip(self, n_nodes):
+        """Without ``n_cores`` the joint search sweeps one node's chip,
+        on any System."""
+        system = System(SystemConfig(n_nodes=n_nodes))
+        result = joint_search(
+            system,
+            lambda: barrier_loop_programs([1e9, 3e9], iterations=1),
+            n_ranks=2,
+            levels=(4, 5),
+            max_gap=1,
+            workers=1,
+        )
+        assert result.evaluated > 0
+        mapping = result.best.mapping
+        assert all(
+            mapping.cpu_of(r) < system.config.chip.n_cpus for r in range(2)
+        )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.machine.system import System, SystemConfig
-from repro.oracle.differential import Scenario
+from repro.scenarios import ScenarioSpec
 from repro.smt.analytic import AnalyticThroughputModel
 from repro.smt.instructions import BASE_PROFILES
 from repro.smt.throughput import ThroughputTable
@@ -83,9 +83,9 @@ def small_btmz_programs():
 
 
 @pytest.fixture()
-def oracle_scenario() -> Scenario:
+def oracle_scenario() -> ScenarioSpec:
     """One small, fast, skewed scenario for oracle-layer tests."""
-    return Scenario(
+    return ScenarioSpec(
         name="fixture-barrier",
         kind="barrier_loop",
         works=(1.0e9, 2.0e9, 1.5e9, 3.0e9),

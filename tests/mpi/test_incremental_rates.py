@@ -7,7 +7,6 @@ on or off, and (2) a change on chip 0 never triggers — or perturbs — a
 re-solve of chip 1.
 """
 
-from repro.cluster import ClusterConfig, ClusterSystem, ClusterSystemConfig
 from repro.machine.mapping import ProcessMapping
 from repro.machine.system import System, SystemConfig
 from repro.mpi.runtime import MpiRuntime, RuntimeConfig
@@ -43,11 +42,11 @@ class TestIncrementalEquivalence:
     def test_cluster_traces_identical_with_and_without_fast_path(self):
         results = []
         for incremental in (True, False):
-            cfg = ClusterSystemConfig(
-                cluster=ClusterConfig(n_nodes=2),
+            cfg = SystemConfig(
+                n_nodes=2,
                 runtime=RuntimeConfig(incremental_rates=incremental),
             )
-            result = ClusterSystem(cfg).run(
+            result = System(cfg).run(
                 barrier_loop_programs([1e9, 2e9] * 4, iterations=3),
                 ProcessMapping.identity(8),
             )
@@ -59,9 +58,7 @@ class TestIncrementalEquivalence:
 
 def _cluster_runtime():
     """A 2-node cluster runtime with ranks packed onto both chips."""
-    system = ClusterSystem(
-        ClusterSystemConfig(cluster=ClusterConfig(n_nodes=2))
-    )
+    system = System(SystemConfig(n_nodes=2))
     machine, hmt, scheduler, kernel = system.build_machine()
     runtime = MpiRuntime(
         chip=machine,

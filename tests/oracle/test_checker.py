@@ -15,8 +15,15 @@ from repro.oracle.checker import (
     verify_run,
     verify_trace,
 )
-from repro.oracle.differential import run_fluid
+from repro.scenarios import get_engine
 from repro.workloads.generators import barrier_loop_programs
+
+
+def _fluid_run(spec, check_invariants=False):
+    """The raw RunResult of one fluid-engine run."""
+    return get_engine("fluid").run(
+        spec, options={"check_invariants": check_invariants}
+    ).run
 
 
 class TestCheckReport:
@@ -41,12 +48,12 @@ class TestPostHocSweeps:
         assert verify_decode_law().ok
 
     def test_clean_run_passes_run_and_trace_sweeps(self, oracle_scenario):
-        result = run_fluid(oracle_scenario)
+        result = _fluid_run(oracle_scenario)
         assert verify_run(result).ok
         assert verify_trace(result.trace).ok
 
     def test_collecting_mode_gathers_instead_of_raising(self, oracle_scenario):
-        result = run_fluid(oracle_scenario)
+        result = _fluid_run(oracle_scenario)
         # Tamper post-hoc: a non-physical execution time.
         bad = dataclasses.replace(result, total_time=-1.0)
         checker = InvariantChecker(strict=False)
@@ -55,7 +62,7 @@ class TestPostHocSweeps:
         assert any(v.invariant == "run.accounting" for v in report.violations)
 
     def test_strict_mode_raises_on_first_violation(self, oracle_scenario):
-        result = run_fluid(oracle_scenario)
+        result = _fluid_run(oracle_scenario)
         bad = dataclasses.replace(result, final_priorities=(9, 4, 4, 4))
         with pytest.raises(InvariantViolation) as exc:
             verify_run(bad)
@@ -65,8 +72,8 @@ class TestPostHocSweeps:
 class TestLiveRuntimeChecker:
     def test_checked_run_matches_unchecked_run_exactly(self, oracle_scenario):
         """The live oracle observes; it must never perturb the physics."""
-        plain = run_fluid(oracle_scenario, check_invariants=False)
-        checked = run_fluid(oracle_scenario, check_invariants=True)
+        plain = _fluid_run(oracle_scenario, check_invariants=False)
+        checked = _fluid_run(oracle_scenario, check_invariants=True)
         assert checked.total_time == plain.total_time
         assert checked.events_processed == plain.events_processed
 

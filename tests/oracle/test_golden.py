@@ -7,13 +7,13 @@ import pytest
 
 from repro.errors import GoldenMismatchError, OracleError
 from repro.oracle import golden
-from repro.oracle.differential import Scenario
+from repro.scenarios import ScenarioSpec
 
 REPO_GOLDEN_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "golden"
 )
 
-SMALL = Scenario(
+SMALL = ScenarioSpec(
     name="tiny-golden",
     kind="barrier_loop",
     works=(4.0e8, 9.0e8),

@@ -186,6 +186,65 @@ class TestMappingDistinctBatches:
         assert len(digests) == len(partitions) == 3
 
 
+#: Topology-bearing specs: the 1-node twin of a single-chip spec, a
+#: 2-node uniform cluster and a 2-node two-level tree with the nodes on
+#: separate switches. Partly occupied nodes and cross-node exchanges are
+#: both exercised.
+TOPOLOGY_SPECS = [
+    ScenarioSpec(
+        name="eq-topo-1node",
+        kind="barrier_loop",
+        works=(1.0e9, 2.0e9, 1.5e9, 2.5e9),
+        iterations=2,
+        priorities=((0, 4), (1, 6), (2, 5), (3, 4)),
+        topology={"n_nodes": 1},
+    ),
+    ScenarioSpec(
+        name="eq-topo-uniform",
+        kind="distant_pairs",
+        works=(1.0e9, 2.6e9, 1.4e9, 3.0e9, 1.8e9, 2.2e9),
+        iterations=2,
+        priorities=((0, 5), (1, 6), (4, 6)),
+        params={"exchange_bytes": 1 << 20},
+        topology={"n_nodes": 2},
+    ),
+    ScenarioSpec(
+        name="eq-topo-tree",
+        kind="metbench",
+        works=(8.0e8, 2.4e9, 1.2e9, 2.0e9),
+        iterations=2,
+        mapping={0: 0, 1: 4, 2: 1, 3: 6},
+        priorities=((1, 6), (3, 5)),
+        topology={
+            "n_nodes": 2,
+            "network": "two-level-tree",
+            "params": {"nodes_per_switch": 1},
+        },
+    ),
+]
+
+
+class TestTopologyBatches:
+    """Topology specs mixed into one batch with single-chip specs: the
+    per-node solves stack with the single-chip ones and every result
+    still equals the scalar run."""
+
+    @pytest.mark.parametrize("name", ["fluid", "analytic"])
+    def test_mixed_topology_batch_matches_scalar(self, name):
+        specs = [KIND_SPECS["barrier_loop"], *TOPOLOGY_SPECS,
+                 KIND_SPECS["btmz"], TOPOLOGY_SPECS[1]]
+        assert_batch_equivalent(name, specs)
+
+    def test_one_node_twin_matches_the_single_chip(self):
+        """The 1-node law holds inside a batch too (the 1-node spec is
+        the barrier_loop spec plus a topology)."""
+        single = KIND_SPECS["barrier_loop"]
+        for name in ("fluid", "analytic"):
+            results = _fresh(name).run_batch([single, TOPOLOGY_SPECS[0]])
+            assert results[0].total_time == results[1].total_time
+            assert results[0].digest == results[1].digest
+
+
 class TestBatchProtocol:
     def test_default_fallback_loops_over_run(self):
         calls = []

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.oracle.differential import Scenario, run_fluid, trace_digest
+from repro.scenarios import ScenarioSpec
 from repro.service.executor import ScenarioService, ServiceConfig
 from repro.service.jobs import Job, JobResult, JobSpec, JobState, RetryPolicy
 from repro.service.queue import JobQueue
@@ -26,7 +26,7 @@ WAIT = 30.0  # generous terminal-state wait; loaded CI machines are slow
 def spec_for(name: str, **spec_kwargs) -> JobSpec:
     spec_kwargs.setdefault("lane", "batch")
     return JobSpec(
-        scenario=Scenario(
+        scenario=ScenarioSpec(
             name=name, kind="barrier_loop", works=(1.0e9, 2.0e9), iterations=1
         ),
         **spec_kwargs,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.oracle.differential import Scenario
+from repro.scenarios import ScenarioSpec
 from repro.service.cache import ResultCache
 from repro.service.jobs import Job, JobResult, JobSpec
 
@@ -11,7 +11,7 @@ from repro.service.jobs import Job, JobResult, JobSpec
 def job(name: str = "t") -> Job:
     return Job(
         spec=JobSpec(
-            scenario=Scenario(
+            scenario=ScenarioSpec(
                 name=name, kind="barrier_loop", works=(1.0e9,), iterations=1
             )
         )

@@ -2,7 +2,7 @@
 
 Fast paths use a stub ``runner`` so scheduling behaviour is tested
 without real simulations; the digest-equality tests at the bottom run
-the real executor against direct ``run_fluid``/``run_case`` calls.
+the real executor against direct fluid-engine and ``run_case`` runs.
 """
 
 import threading
@@ -19,7 +19,8 @@ from repro.errors import (
 from repro.experiments.cases import metbench_suite
 from repro.experiments.runner import run_case
 from repro.machine.system import System, SystemConfig
-from repro.oracle.differential import Scenario, run_fluid, trace_digest
+from repro.scenarios import ScenarioSpec, get_engine
+from repro.scenarios.engines import trace_digest
 from repro.service.executor import (
     ScenarioService,
     ServiceConfig,
@@ -33,7 +34,7 @@ WAIT = 30.0  # generous terminal-state wait; loaded CI machines are slow
 
 def spec_for(name: str, **spec_kwargs) -> JobSpec:
     return JobSpec(
-        scenario=Scenario(
+        scenario=ScenarioSpec(
             name=name, kind="barrier_loop", works=(1.0e9, 2.0e9), iterations=1
         ),
         **spec_kwargs,
@@ -313,8 +314,8 @@ class TestRealExecution:
         ) as service:
             job = service.run(spec, timeout=120.0)
             assert job.state is JobState.DONE, job.error
-            direct = run_fluid(oracle_scenario)
-            assert job.result.digest == trace_digest(direct)
+            direct = get_engine("fluid").run(oracle_scenario)
+            assert job.result.digest == direct.digest
             assert job.result.total_time == direct.total_time
             assert job.result.imbalance_percent == direct.imbalance_percent
             assert tuple(job.result.final_priorities) == tuple(

@@ -3,16 +3,16 @@
 import pytest
 
 from repro.errors import ConfigurationError, ServiceError
-from repro.oracle.differential import Scenario
+from repro.scenarios import ScenarioSpec
 from repro.service.jobs import Job, JobResult, JobSpec, JobState, RetryPolicy
 
 
-def scenario(**overrides) -> Scenario:
+def scenario(**overrides) -> ScenarioSpec:
     base = dict(
         name="t", kind="barrier_loop", works=(1.0e9, 2.0e9), iterations=2
     )
     base.update(overrides)
-    return Scenario(**base)
+    return ScenarioSpec(**base)
 
 
 class TestJobSpecValidation:

@@ -1,5 +1,6 @@
 """HTTP API round-trips against a live (ephemeral-port) server."""
 
+import http.client
 import json
 import threading
 import time
@@ -8,7 +9,7 @@ import urllib.request
 
 import pytest
 
-from repro.oracle.differential import run_fluid, trace_digest
+from repro.scenarios import get_engine
 from repro.service.executor import ScenarioService, ServiceConfig
 from repro.service.jobs import JobResult, JobSpec, RetryPolicy
 from repro.service.server import make_server
@@ -67,11 +68,11 @@ class TestEndToEnd:
         status, doc, _ = request("POST", f"{base}/v1/jobs?wait={WAIT}", body)
         assert status == 200
         assert doc["state"] == "done", doc.get("error")
-        direct = run_fluid(JobSpec.from_doc(body).scenario)
-        assert doc["result"]["digest"] == trace_digest(direct)
+        direct = get_engine("fluid").run(JobSpec.from_doc(body).scenario)
+        assert doc["result"]["digest"] == direct.digest
         assert doc["result"]["total_time"] == direct.total_time
         # The result document round-trips through the typed layer.
-        assert JobResult.from_doc(doc["result"]).digest == trace_digest(direct)
+        assert JobResult.from_doc(doc["result"]).digest == direct.digest
 
         # Same spec again: served from the cache, same digest.
         status, doc2, _ = request("POST", f"{base}/v1/jobs?wait={WAIT}", body)
@@ -176,6 +177,36 @@ class TestProtocol:
         assert status == 404
         status, _doc, _ = request("GET", f"{base}/nothing/here")
         assert status == 404
+
+    @pytest.mark.parametrize("wait", ["abc", "nan", "inf", "-1"])
+    @pytest.mark.parametrize("path", ["/v1/jobs", "/v1/jobs:batch"])
+    def test_bad_wait_is_400_and_submits_nothing(self, live_server, path, wait):
+        base = live_server(ScenarioService(ServiceConfig(workers=1)))
+        _status, before, _ = request("GET", f"{base}/metrics")
+        body = {"scenario": scenario_doc("bad-wait")}
+        if path.endswith(":batch"):
+            body = {"jobs": [body]}
+        status, doc, _ = request("POST", f"{base}{path}?wait={wait}", body)
+        assert status == 400
+        assert "wait" in doc["error"]
+        _status, after, _ = request("GET", f"{base}/metrics")
+        assert after["jobs"] == before["jobs"]
+
+    @pytest.mark.parametrize("length", ["-1", "ten"])
+    def test_bad_content_length_is_400_promptly(self, live_server, length):
+        base = live_server(ScenarioService(ServiceConfig(workers=1)))
+        host, port = base[len("http://"):].split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=5.0)
+        try:
+            conn.putrequest("POST", "/v1/jobs")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            resp = conn.getresponse()
+            assert resp.status == 400
+            assert "Content-Length" in json.load(resp)["error"]
+        finally:
+            conn.close()
 
     def test_backpressure_is_429_with_retry_after(self, live_server):
         release = threading.Event()

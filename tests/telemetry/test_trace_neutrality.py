@@ -10,8 +10,7 @@ or off. This is the acceptance bar ISSUE.md sets for the whole layer.
 
 import pytest
 
-from repro.oracle.differential import run_fluid, trace_digest
-from repro.scenarios import ScenarioSpec
+from repro.scenarios import ScenarioSpec, get_engine
 from repro.telemetry import default_registry, set_enabled
 
 
@@ -29,9 +28,9 @@ def spec() -> ScenarioSpec:
 def _digest(spec: ScenarioSpec, telemetry_on: bool) -> str:
     previous = set_enabled(telemetry_on)
     try:
-        # The runtime checks the gate at construction; each run_fluid
-        # call constructs a fresh MpiRuntime, so the flag takes effect.
-        return trace_digest(run_fluid(spec))
+        # The runtime checks the gate at construction; each engine run
+        # constructs a fresh MpiRuntime, so the flag takes effect.
+        return get_engine("fluid").run(spec).digest
     finally:
         set_enabled(previous)
 
