@@ -5,7 +5,9 @@ Drives an in-process :class:`~repro.service.executor.ScenarioService`
 request mixes — all-miss ("cold", every spec a fresh fingerprint) and
 90 % cache-hit ("hot90", the production shape once a scenario corpus
 stabilises) — and records sustained req/s plus p50/p99 latencies to
-``benchmarks/results/BENCH_service.json``.
+``benchmarks/results/BENCH_service.json``. The service runs the
+shipped ``ServiceConfig`` (its per-attempt timeout included); only the
+worker count and queue depth are set here.
 
 The acceptance bar rides along as an assertion: the cached-hit path
 must be at least 10x faster than the cold path (it is ~100x — a dict
@@ -67,7 +69,6 @@ def test_service_throughput_mixes():
     config = ServiceConfig(
         workers=WORKERS,
         queue_depth=max(COLD_REQUESTS, HOT_REQUESTS) + 8,
-        default_timeout_s=None,  # inline attempts: workers keep warm models
     )
     doc = {"workers": WORKERS}
     with ScenarioService(config) as service:

@@ -41,11 +41,9 @@ def get_job(base: str, job_id: str) -> dict:
 
 
 def main():
-    # A real server on an ephemeral port; --timeout 0 semantics (inline
-    # attempts) keep the worker's simulated systems warm between jobs.
-    service = ScenarioService(
-        ServiceConfig(workers=2, default_timeout_s=None)
-    )
+    # A real server on an ephemeral port at the shipped config; each
+    # worker keeps its simulated systems warm between jobs.
+    service = ScenarioService(ServiceConfig(workers=2))
     server = make_server(service, host="127.0.0.1", port=0)
     host, port = server.server_address[:2]
     base = f"http://{host}:{port}"

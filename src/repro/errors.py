@@ -74,6 +74,20 @@ class SimulationError(ReproError):
     """The simulation engine reached an inconsistent internal state."""
 
 
+class DeadlineExceeded(ReproError):
+    """Work stopped at a cooperative deadline check.
+
+    Raised by :func:`repro.util.deadline.check_deadline` (and the MPI
+    runtime's per-event check) once the enclosing
+    :func:`~repro.util.deadline.deadline_scope` has expired. The service
+    turns it into a :class:`JobTimeoutError` for the job it was running.
+    """
+
+    def __init__(self, overrun_s: float) -> None:
+        self.overrun_s = overrun_s
+        super().__init__(f"deadline passed {overrun_s * 1e3:.1f} ms ago")
+
+
 class PersistenceError(ReproError):
     """A persisted artifact (throughput table, ...) is malformed or does
     not match the configuration that is trying to load it."""

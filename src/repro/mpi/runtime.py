@@ -38,6 +38,7 @@ from typing import Dict, Generator, Iterator, List, Mapping, Optional, Sequence,
 
 from repro.errors import (
     ConfigurationError,
+    DeadlineExceeded,
     DeadlockError,
     MappingError,
     SimulationError,
@@ -79,6 +80,7 @@ from repro.telemetry import enabled as _telemetry_enabled
 from repro.trace.events import RankState
 from repro.trace.stats import TraceStats, compute_stats
 from repro.trace.trace import Trace
+from repro.util.deadline import check_deadline, current_deadline
 from repro.util.units import POWER5_FREQ_HZ
 from repro.util.validation import check_positive
 
@@ -746,6 +748,11 @@ class MpiRuntime:
     def run(self) -> RunResult:
         """Run all rank programs to completion and return the result."""
         cfg = self.config
+        # The cooperative deadline (repro.util.deadline), read once per
+        # run: without one the event loop pays a single ``is None`` test
+        # per event, with one a single clock comparison.
+        expiry = current_deadline()
+        check_deadline()
         telemetry = self._telemetry
         t_run0 = _time.perf_counter() if telemetry is not None else 0.0
         # Process launch: pin + default priorities.
@@ -769,7 +776,10 @@ class MpiRuntime:
         heap = self._heap
         computing_state = _PState.COMPUTING
         oracle = self._oracle
+        monotonic = _time.monotonic
         while self._finished < self.n_ranks:
+            if expiry is not None and monotonic() >= expiry:
+                raise DeadlineExceeded(monotonic() - expiry)
             if self.events_processed > max_events:
                 raise SimulationError(
                     f"exceeded max_events={max_events} at t={self.now}"

@@ -25,11 +25,15 @@ Systems and the shared persistent
 workers accumulate measurements instead of clobbering) are owned by the
 engines themselves now, not hand-rolled here.
 
-Timeout caveat: Python threads cannot be killed, so a timed-out attempt
-is *abandoned* — the job fails with
-:class:`~repro.errors.JobTimeoutError` immediately, while the stray
-simulation thread winds down on its own (bounded by the runtime's
-``time_limit``/``max_events`` walls).
+Timeouts are cooperative: every attempt runs inline on its worker
+thread inside a :func:`~repro.util.deadline.deadline_scope`, and the MPI
+runtime checks that deadline before each run and at every event, so a
+timed-out simulation stops where it is and the worker moves on — no
+thread outlives its job. A runner that never checks the deadline (a
+custom one, or a non-runtime engine) is judged when it returns: a result
+that arrives after the deadline is discarded. Either way the job fails
+with :class:`~repro.errors.JobTimeoutError`. Running inline also lets
+each worker's warm engine Systems serve every job it takes.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from typing import Callable, Deque, Dict, Optional
 
 from repro.errors import (
     ConfigurationError,
+    DeadlineExceeded,
     JobTimeoutError,
     ServiceError,
     TransientWorkerError,
@@ -58,6 +63,7 @@ from repro.service.jobs import (
 )
 from repro.service.queue import JobQueue
 from repro.telemetry import MetricRegistry, get_logger
+from repro.util.deadline import deadline_scope
 # Re-exported for compatibility: percentile() lived here before moving
 # to repro.util.stats next to summarize().
 from repro.util.stats import percentile
@@ -86,9 +92,9 @@ class ServiceConfig:
     workers: int = 2
     queue_depth: int = 64
     cache_entries: int = 1024
-    #: Per-attempt wall-clock limit for jobs that don't set their own;
-    #: None disables (attempts run inline on the worker thread, which
-    #: also lets its Systems stay warm across jobs).
+    #: Per-attempt wall-clock limit for jobs that don't set their own,
+    #: enforced by a cooperative deadline (attempts always run inline on
+    #: the worker thread); None disables it.
     default_timeout_s: Optional[float] = 300.0
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: Shared on-disk cycle-model measurement table (model="cycle" jobs).
@@ -219,6 +225,25 @@ def execute_spec_batch(
             verify_run(result.run)
         out.append(JobResult.from_execution(spec, result))
     return out
+
+
+def _within(timeout: Optional[float], job_id: str, attempt: Callable):
+    """Run ``attempt()`` inline under a ``timeout``-second deadline
+    (none when ``timeout`` is ``None``).
+
+    Work that checks the deadline stops at it; a result returned after
+    it is discarded. Both end as :class:`JobTimeoutError` for ``job_id``.
+    """
+    if timeout is None:
+        return attempt()
+    try:
+        with deadline_scope(timeout) as expiry:
+            result = attempt()
+    except DeadlineExceeded:
+        raise JobTimeoutError(job_id, timeout) from None
+    if time.monotonic() >= expiry:
+        raise JobTimeoutError(job_id, timeout)
+    return result
 
 
 # -- the service ----------------------------------------------------------------
@@ -574,13 +599,15 @@ class ScenarioService:
             job.attempts += 1
             per_job = self._attempt_timeout(job)
             if per_job is None or timeout is None:
-                # One unbounded member makes the whole batch inline —
-                # same policy as a single unbounded attempt.
+                # One unbounded member leaves the whole batch unbounded.
                 timeout = None
             else:
                 timeout += per_job
         try:
-            results = self._run_batch_attempt(runnable, timeout)
+            specs = [job.spec for job in runnable]
+            results = _within(
+                timeout, runnable[0].id, lambda: self._batch_runner(specs)
+            )
             if len(results) != len(runnable):
                 raise ServiceError(
                     f"batch runner returned {len(results)} results "
@@ -602,31 +629,6 @@ class ScenarioService:
             self._batch_size_hist.observe(len(runnable))
         for job, result in zip(runnable, results):
             self._settle_success(job.spec.fingerprint, job, result)
-
-    def _run_batch_attempt(
-        self, jobs: list, timeout: Optional[float]
-    ) -> list:
-        specs = [job.spec for job in jobs]
-        if timeout is None:
-            return self._batch_runner(specs)
-        box: dict = {}
-
-        def target() -> None:
-            try:
-                box["result"] = self._batch_runner(specs)
-            except BaseException as exc:  # noqa: BLE001 — re-raised below
-                box["error"] = exc
-
-        thread = threading.Thread(
-            target=target, name=f"batch-{jobs[0].id}", daemon=True
-        )
-        thread.start()
-        thread.join(timeout)
-        if thread.is_alive():
-            raise JobTimeoutError(jobs[0].id, timeout)
-        if "error" in box:
-            raise box["error"]
-        return box["result"]
 
     def _process(self, job: Job) -> None:
         fp = job.spec.fingerprint
@@ -662,7 +664,10 @@ class ScenarioService:
         while True:
             job.attempts += 1
             try:
-                result = self._run_attempt(job)
+                result = _within(
+                    self._attempt_timeout(job), job.id,
+                    lambda: self._runner(job.spec),
+                )
             except Exception as exc:  # noqa: BLE001 — classified below
                 if isinstance(exc, JobTimeoutError):
                     with self._lock:
@@ -705,29 +710,6 @@ class ScenarioService:
             remaining = max(0.01, remaining)
             timeout = remaining if timeout is None else min(timeout, remaining)
         return timeout
-
-    def _run_attempt(self, job: Job) -> JobResult:
-        timeout = self._attempt_timeout(job)
-        if timeout is None:
-            return self._runner(job.spec)
-        box: dict = {}
-
-        def target() -> None:
-            try:
-                box["result"] = self._runner(job.spec)
-            except BaseException as exc:  # noqa: BLE001 — re-raised below
-                box["error"] = exc
-
-        thread = threading.Thread(
-            target=target, name=f"attempt-{job.id}", daemon=True
-        )
-        thread.start()
-        thread.join(timeout)
-        if thread.is_alive():
-            raise JobTimeoutError(job.id, timeout)
-        if "error" in box:
-            raise box["error"]
-        return box["result"]
 
     def _settle_success(self, fp: str, job: Job, result: JobResult) -> None:
         _, followers = self.cache.settle(fp, result)

@@ -8,8 +8,9 @@ Endpoints
     while queued/running/coalesced, 400 on a malformed spec, and 429
     with a ``Retry-After`` header when the queue exerts backpressure.
     ``?wait=<seconds>`` blocks up to that long for completion first; a
-    non-finite or negative ``wait`` or ``Content-Length`` is a 400, and
-    nothing is submitted.
+    non-finite or negative ``wait`` or ``Content-Length`` is a 400, a
+    ``Content-Length`` above :data:`MAX_BODY_BYTES` is a 413 (answered
+    before the body is read), and nothing is submitted.
 ``POST /v1/jobs:batch``
     Body: ``{"jobs": [<spec>, ...]}``. Admits every entry independently
     and returns one entry per input in order (job document, or an
@@ -34,7 +35,9 @@ Endpoints
 
 Uses :class:`http.server.ThreadingHTTPServer`, so slow pollers never
 block submissions; the simulation concurrency bound stays the service's
-worker pool, not the HTTP layer.
+worker pool, not the HTTP layer. A connection that sends nothing for
+:data:`SOCKET_TIMEOUT_S` is closed, so a stalled client holds only its
+own handler thread, and only that long.
 """
 
 from __future__ import annotations
@@ -64,16 +67,29 @@ __all__ = ["make_server", "serve"]
 
 #: Cap on ?wait= so a client cannot pin an HTTP thread forever.
 MAX_WAIT_S = 600.0
+#: Largest request body read; a bigger ``Content-Length`` gets 413.
+MAX_BODY_BYTES = 8 * 1024 * 1024
+#: Per-connection socket timeout: a client silent this long is dropped.
+SOCKET_TIMEOUT_S = 30.0
 
 
 class _BadRequest(Exception):
-    """A request answered with 400 before any work is done."""
+    """A request answered with an error status (400 unless given) before
+    any work is done."""
+
+    def __init__(self, message: str, status: int = 400) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 def _make_handler(service: ScenarioService, quiet: bool = True):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         server_version = "repro-serve/1"
+        timeout = SOCKET_TIMEOUT_S
+        # Headers and body go out in separate sends; without TCP_NODELAY
+        # every keep-alive round trip waits out a delayed ACK.
+        disable_nagle_algorithm = True
 
         # -- plumbing ---------------------------------------------------------
 
@@ -107,8 +123,8 @@ def _make_handler(service: ScenarioService, quiet: bool = True):
 
         def _read_json(self) -> object:
             """The request body as JSON (``{}`` when empty). An unusable
-            ``Content-Length`` leaves the body unread, so the connection
-            closes after the 400."""
+            or oversized ``Content-Length`` leaves the body unread, so
+            the connection closes after the 400 or 413."""
             raw = self.headers.get("Content-Length", "0")
             try:
                 length = int(raw)
@@ -117,6 +133,12 @@ def _make_handler(service: ScenarioService, quiet: bool = True):
             if length < 0:
                 self.close_connection = True
                 raise _BadRequest(f"bad Content-Length {raw!r}")
+            if length > MAX_BODY_BYTES:
+                self.close_connection = True
+                raise _BadRequest(
+                    f"request body of {length} bytes exceeds the "
+                    f"{MAX_BODY_BYTES}-byte limit", status=413,
+                )
             body = self.rfile.read(length) if length else b""
             try:
                 return json.loads(body.decode("utf-8")) if body else {}
@@ -205,7 +227,7 @@ def _make_handler(service: ScenarioService, quiet: bool = True):
                 doc = self._read_json()
                 wait_s = self._wait_s(query)
             except _BadRequest as exc:
-                self._error(400, str(exc))
+                self._error(exc.status, str(exc))
                 return
             if path == "/v1/jobs:batch":
                 self._post_jobs_batch(doc, wait_s)

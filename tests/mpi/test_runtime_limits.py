@@ -1,11 +1,16 @@
-"""Runtime guards: config validation, runaway detection, controllers."""
+"""Runtime guards: config validation, runaway detection, wall-clock
+deadlines, controllers."""
+
+import time
 
 import pytest
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, DeadlineExceeded, SimulationError
 from repro.machine.mapping import ProcessMapping
 from repro.machine.system import System, SystemConfig
 from repro.mpi.runtime import RuntimeConfig
+from repro.scenarios.engines import trace_digest
+from repro.util.deadline import current_deadline, deadline_scope
 
 
 class TestRuntimeConfig:
@@ -50,6 +55,43 @@ class TestRunawayGuards:
 
         with pytest.raises(SimulationError, match="max_events"):
             system.run([prog, prog], ProcessMapping.identity(2))
+
+
+def barrier_loop(iterations):
+    def prog(mpi):
+        for _ in range(iterations):
+            yield mpi.compute(1e6 * (mpi.rank + 1), profile="hpc")
+            yield mpi.barrier()
+
+    return prog
+
+
+class TestWallClockDeadline:
+    def test_run_stops_mid_loop(self):
+        system = System(SystemConfig())
+        prog = barrier_loop(50_000)  # seconds of wall time to finish
+        t0 = time.monotonic()
+        with deadline_scope(0.05):
+            with pytest.raises(DeadlineExceeded):
+                system.run([prog, prog], ProcessMapping.identity(2))
+        assert 0.05 <= time.monotonic() - t0 < 1.0
+        assert current_deadline() is None
+
+    def test_expired_deadline_stops_before_launch(self):
+        system = System(SystemConfig())
+        prog = barrier_loop(1)
+        with deadline_scope(0.0):
+            with pytest.raises(DeadlineExceeded):
+                system.run([prog, prog], ProcessMapping.identity(2))
+
+    def test_unexpired_deadline_changes_no_digest(self):
+        system = System(SystemConfig())
+        prog = barrier_loop(20)
+        free = system.run([prog, prog], ProcessMapping.identity(2))
+        with deadline_scope(300.0):
+            bounded = system.run([prog, prog], ProcessMapping.identity(2))
+        assert trace_digest(bounded) == trace_digest(free)
+        assert bounded.total_time == free.total_time
 
 
 class TestControllers:

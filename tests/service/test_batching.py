@@ -19,6 +19,7 @@ from repro.scenarios import ScenarioSpec
 from repro.service.executor import ScenarioService, ServiceConfig
 from repro.service.jobs import Job, JobResult, JobSpec, JobState, RetryPolicy
 from repro.service.queue import JobQueue
+from repro.util.deadline import check_deadline
 
 WAIT = 30.0  # generous terminal-state wait; loaded CI machines are slow
 
@@ -120,6 +121,7 @@ class _Harness:
         self.release_batch = threading.Event()
         self.fail_names = set()
         self.fail_batches = 0
+        self.batch_spins = False  # batch attempts run until their deadline
         config_kwargs.setdefault("workers", 1)
         config_kwargs.setdefault(
             "retry", RetryPolicy(max_retries=0, base_s=0.01, max_backoff_s=0.05)
@@ -142,6 +144,9 @@ class _Harness:
     def _batch_runner(self, specs):
         self.batches.append([s.scenario.name for s in specs])
         self.batch_started.set()
+        while self.batch_spins:
+            check_deadline()
+            time.sleep(0.002)
         assert self.release_batch.wait(WAIT)
         if self.fail_batches > 0:
             self.fail_batches -= 1
@@ -213,6 +218,24 @@ class TestServiceBatching:
             # consumed attempt (the scalar fallback), not two.
             assert by_name["a"].attempts == 1
             assert by_name["a"].result.fingerprint == jobs[0].spec.fingerprint
+
+    def test_batch_timeout_falls_back_to_per_job_attempts(self):
+        h = _Harness()
+        h.batch_spins = True
+        with h.service as service:
+            t0 = time.perf_counter()
+            _, jobs = h.open_gate_and_queue(
+                [spec_for(n, timeout_s=0.05) for n in ("a", "b", "c")]
+            )
+            for job in jobs:
+                assert service.wait(job.id, timeout=WAIT).state is JobState.DONE
+            # The batch stopped at its summed 0.15 s deadline.
+            assert time.perf_counter() - t0 < 1.0
+            assert h.batches == [["a", "b", "c"]]
+            for job in jobs:
+                assert job.source == "computed" and job.attempts == 1
+                assert job.result.fingerprint == job.spec.fingerprint
+                assert h.calls.count(job.spec.fingerprint) == 1
 
     def test_batch_telemetry_counts_batches_and_sizes(self):
         h = _Harness()

@@ -20,7 +20,7 @@ from repro.experiments.cases import metbench_suite
 from repro.experiments.runner import run_case
 from repro.machine.system import System, SystemConfig
 from repro.scenarios import ScenarioSpec, get_engine
-from repro.scenarios.engines import trace_digest
+from repro.scenarios.engines import FluidEngine, trace_digest
 from repro.service.executor import (
     ScenarioService,
     ServiceConfig,
@@ -28,6 +28,7 @@ from repro.service.executor import (
     percentile,
 )
 from repro.service.jobs import JobResult, JobSpec, JobState, RetryPolicy
+from repro.util.deadline import check_deadline, current_deadline
 
 WAIT = 30.0  # generous terminal-state wait; loaded CI machines are slow
 
@@ -217,6 +218,74 @@ class TestTimeoutsAndRetries:
             assert "deadline" in job.error
 
 
+class TestCooperativeDeadline:
+    """A timeout stops the work: attempts run inline on the worker under
+    a deadline that runners and the MPI runtime check."""
+
+    def test_checking_runner_stops_at_its_timeout(self):
+        iterations = []
+
+        def runner(spec):
+            while True:
+                check_deadline()
+                iterations.append(1)
+                time.sleep(0.002)
+
+        with make_service(
+            runner, retry=RetryPolicy(max_retries=0, base_s=0.01)
+        ) as service:
+            t0 = time.perf_counter()
+            job = service.run(spec_for("spin", timeout_s=0.1), timeout=WAIT)
+            assert time.perf_counter() - t0 < 1.0
+            assert job.state is JobState.FAILED
+            assert "JobTimeoutError" in job.error
+            counters = service.metrics()["counters"]
+            assert counters["timeouts"] == 1 and counters["retries"] == 0
+            # The runner itself stopped; nothing is still spinning.
+            seen = len(iterations)
+            time.sleep(0.05)
+            assert len(iterations) == seen
+
+    def test_timed_out_fluid_job_leaves_no_thread_and_no_stale_deadline(self):
+        long_run = ScenarioSpec(
+            name="long", kind="barrier_loop",
+            works=(1.0e9, 2.0e9, 1.5e9, 3.0e9), iterations=5000,
+        )
+        short_run = ScenarioSpec(
+            name="short", kind="barrier_loop",
+            works=(1.0e9, 2.0e9, 1.5e9, 3.0e9), iterations=2,
+        )
+        deadlines = []
+
+        def runner(spec):
+            deadlines.append(current_deadline())
+            return execute_spec(spec)
+
+        service = ScenarioService(
+            ServiceConfig(
+                workers=1, default_timeout_s=None,
+                retry=RetryPolicy(max_retries=0, base_s=0.01),
+            ),
+            runner=runner,
+        )
+        with service:
+            threads_before = set(threading.enumerate())
+            job = service.run(
+                JobSpec(scenario=long_run, timeout_s=0.05), timeout=WAIT
+            )
+            assert job.state is JobState.FAILED
+            assert "JobTimeoutError" in job.error
+            assert "exceeded its timeout" in job.error
+            # No compute thread outlives the job.
+            assert set(threading.enumerate()) <= threads_before
+            assert service.metrics()["counters"]["timeouts"] == 1
+
+            after = service.run(JobSpec(scenario=short_run), timeout=WAIT)
+            assert after.state is JobState.DONE, after.error
+            assert deadlines[0] is not None and deadlines[1] is None
+            assert after.result.digest == FluidEngine().run(short_run).digest
+
+
 class TestAdmission:
     def test_backpressure_propagates(self):
         release = threading.Event()
@@ -333,6 +402,23 @@ class TestRealExecution:
         direct = run_case(System(SystemConfig()), suite, suite.case("A"))
         assert job.result.digest == trace_digest(direct.run)
         assert job.result.total_time == direct.run.total_time
+
+    def test_workers_reuse_their_warm_systems(self):
+        engine = get_engine("fluid")
+        systems_before = len(engine._systems)
+        specs = [
+            JobSpec(scenario=ScenarioSpec(
+                name=f"warm-{i}", kind="barrier_loop",
+                works=(1.0e9 + i * 1.0e6, 2.0e9, 1.5e9, 3.0e9), iterations=2,
+            ))
+            for i in range(40)
+        ]
+        with ScenarioService(ServiceConfig(workers=2)) as service:
+            jobs = [service.submit(spec) for spec in specs]
+            for job in jobs:
+                assert service.wait(job.id, timeout=120.0).state is JobState.DONE
+        # One warm System per worker thread, whatever the job count.
+        assert len(engine._systems) - systems_before <= 2
 
     def test_execute_spec_is_deterministic(self, oracle_scenario):
         spec = JobSpec(scenario=oracle_scenario)

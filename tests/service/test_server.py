@@ -2,6 +2,8 @@
 
 import http.client
 import json
+import socket
+import statistics
 import threading
 import time
 import urllib.error
@@ -10,9 +12,10 @@ import urllib.request
 import pytest
 
 from repro.scenarios import get_engine
+from repro.service import server as server_module
 from repro.service.executor import ScenarioService, ServiceConfig
 from repro.service.jobs import JobResult, JobSpec, RetryPolicy
-from repro.service.server import make_server
+from repro.service.server import MAX_BODY_BYTES, make_server
 
 WAIT = 60.0
 
@@ -49,6 +52,12 @@ def request(method: str, url: str, body: dict = None):
             return resp.status, json.load(resp), dict(resp.headers)
     except urllib.error.HTTPError as exc:
         return exc.code, json.load(exc), dict(exc.headers)
+
+
+def address(base: str):
+    """(host, port) of a ``http://host:port`` base URL."""
+    host, port = base[len("http://"):].split(":")
+    return host, int(port)
 
 
 def scenario_doc(name: str) -> dict:
@@ -195,8 +204,7 @@ class TestProtocol:
     @pytest.mark.parametrize("length", ["-1", "ten"])
     def test_bad_content_length_is_400_promptly(self, live_server, length):
         base = live_server(ScenarioService(ServiceConfig(workers=1)))
-        host, port = base[len("http://"):].split(":")
-        conn = http.client.HTTPConnection(host, int(port), timeout=5.0)
+        conn = http.client.HTTPConnection(*address(base), timeout=5.0)
         try:
             conn.putrequest("POST", "/v1/jobs")
             conn.putheader("Content-Type", "application/json")
@@ -207,6 +215,74 @@ class TestProtocol:
             assert "Content-Length" in json.load(resp)["error"]
         finally:
             conn.close()
+
+    def test_oversized_body_is_413_unread_and_submits_nothing(
+        self, live_server
+    ):
+        base = live_server(ScenarioService(ServiceConfig(workers=1)))
+        _status, before, _ = request("GET", f"{base}/metrics")
+        conn = http.client.HTTPConnection(*address(base), timeout=5.0)
+        try:
+            # Only the headers are sent: a reply proves the server
+            # refused before trying to read the promised body.
+            conn.putrequest("POST", "/v1/jobs")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+            conn.endheaders()
+            resp = conn.getresponse()
+            assert resp.status == 413
+            assert "limit" in json.load(resp)["error"]
+        finally:
+            conn.close()
+        _status, after, _ = request("GET", f"{base}/metrics")
+        assert after["jobs"] == before["jobs"]
+
+    def test_stalled_client_is_dropped_while_others_are_served(
+        self, live_server, monkeypatch
+    ):
+        monkeypatch.setattr(server_module, "SOCKET_TIMEOUT_S", 0.5)
+        base = live_server(ScenarioService(ServiceConfig(workers=1)))
+        _status, before, _ = request("GET", f"{base}/metrics")
+        stalled = socket.create_connection(address(base), timeout=WAIT)
+        try:
+            t0 = time.monotonic()
+            # Ten bytes of a promised hundred-byte body, then silence.
+            stalled.sendall(
+                b"POST /v1/jobs HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: 100\r\n\r\n" + b'{"scenario'
+            )
+            status, doc, _ = request("GET", f"{base}/healthz")
+            assert status == 200 and doc["status"] == "ok"
+            assert time.monotonic() - t0 < 0.5
+            # The server gives up on the stalled body and closes the
+            # connection without answering it.
+            assert stalled.recv(1024) == b""
+            assert time.monotonic() - t0 >= 0.4
+        finally:
+            stalled.close()
+        _status, after, _ = request("GET", f"{base}/metrics")
+        assert after["jobs"] == before["jobs"]
+
+    def test_keepalive_round_trips_skip_the_delayed_ack(self, live_server):
+        base = live_server(ScenarioService(ServiceConfig(workers=1)))
+        body = json.dumps({"scenario": scenario_doc("keepalive")}).encode()
+        conn = http.client.HTTPConnection(*address(base), timeout=WAIT)
+        try:
+            rtts = []
+            for _ in range(22):  # the first computes, the rest hit the cache
+                t0 = time.perf_counter()
+                conn.request(
+                    "POST", "/v1/jobs?wait=30", body=body,
+                    headers={"Content-Type": "application/json"},
+                )
+                resp = conn.getresponse()
+                doc = json.load(resp)
+                rtts.append(time.perf_counter() - t0)
+                assert resp.status == 200 and doc["state"] == "done"
+        finally:
+            conn.close()
+        assert statistics.median(rtts[1:]) < 0.020, rtts
 
     def test_backpressure_is_429_with_retry_after(self, live_server):
         release = threading.Event()
