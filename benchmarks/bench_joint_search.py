@@ -123,7 +123,7 @@ def test_large_sweep_past_ten_thousand_candidates():
 
     t0 = time.perf_counter()
     result = joint_search(
-        system, large_factory, 6, n_cores=4, levels=(4, 5, 6), max_gap=2,
+        system, large_factory, 6, levels=(4, 5, 6), max_gap=2,
         keep_top=5,
     )
     elapsed = time.perf_counter() - t0

@@ -1,15 +1,16 @@
 """Priority-search performance (classic pytest-benchmark targets).
 
 Tracks the cost of the automated case-study search from
-:mod:`repro.core.search`: an exhaustive sweep over a small candidate
-space, serial vs. the process-pool path, with the throughput-model
-cache accounting recorded alongside the timings in
+:mod:`repro.core.search`: an exhaustive priority sweep on one mapping
+(``joint_search(..., mappings=[m])``), serial vs. the process-pool
+path, with the throughput-model cache accounting recorded alongside
+the timings in
 ``benchmarks/results/BENCH_simulator.json``.
 """
 
 import pytest
 
-from repro.core.search import exhaustive_priority_search
+from repro.core.search import joint_search
 from repro.machine.mapping import ProcessMapping
 from repro.machine.system import System, SystemConfig
 from repro.workloads.generators import barrier_loop_programs
@@ -45,8 +46,8 @@ def test_exhaustive_search_serial(benchmark, record_bench):
     system = System(SystemConfig())
 
     def run():
-        return exhaustive_priority_search(
-            system, factory, MAPPING, levels=(4, 5), max_gap=1
+        return joint_search(
+            system, factory, 4, levels=(4, 5), max_gap=1, mappings=[MAPPING]
         )
 
     result = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
@@ -57,18 +58,20 @@ def test_exhaustive_search_serial(benchmark, record_bench):
 def test_exhaustive_search_parallel(benchmark, record_bench):
     """Same sweep through the process pool (falls back to serial when
     the pool cannot start); the ranking must match the serial sweep."""
-    serial = exhaustive_priority_search(
-        System(SystemConfig()), factory, MAPPING, levels=(4, 5), max_gap=1
+    serial = joint_search(
+        System(SystemConfig()), factory, 4, levels=(4, 5), max_gap=1,
+        mappings=[MAPPING],
     )
 
     def run():
-        return exhaustive_priority_search(
+        return joint_search(
             System(SystemConfig()),
             factory,
-            MAPPING,
+            4,
             levels=(4, 5),
             max_gap=1,
             workers=2,
+            mappings=[MAPPING],
         )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -12,7 +12,7 @@ Run:  python examples/search_best_config.py
 """
 
 from repro import System, SystemConfig, paper_mapping
-from repro.core import exhaustive_priority_search, greedy_priority_search
+from repro.core import greedy_priority_search, joint_search
 from repro.util.tables import TextTable
 from repro.workloads import ZoneGrid, bt_mz_programs
 
@@ -26,8 +26,9 @@ def factory():
 
 
 print("exhaustive search over levels 3-6, max gap 2 ...")
-result = exhaustive_priority_search(
-    system, factory, mapping, levels=(3, 4, 5, 6), max_gap=2
+result = joint_search(
+    system, factory, n_ranks=4, levels=(3, 4, 5, 6), max_gap=2,
+    mappings=[mapping],
 )
 baseline_time = [
     t for a, t, _ in result.entries

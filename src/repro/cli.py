@@ -51,6 +51,10 @@ Commands
     candidate, and print the ranking against the default (identity
     mapping, all-MEDIUM) configuration. ``--staged`` swaps the mapping
     sweep for the decode-pressure pairing heuristic.
+``search cluster [--nodes N] [--exchange-bytes B] ...``
+    The two-level (placement → priority) search on an ``N``-node
+    cluster (``docs/cluster.md``), same table and options; ``--staged``
+    is rejected.
 """
 
 from __future__ import annotations
@@ -555,99 +559,24 @@ def _cmd_tournament(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_search_cluster(args: argparse.Namespace, works, levels) -> int:
-    """The ``repro search cluster`` action: placement, then priorities."""
-    from repro.cluster import UniformNetwork
-    from repro.core import candidate_placements, two_level_search
-    from repro.errors import ConfigurationError, MappingError
-    from repro.machine.mapping import ProcessMapping
-    from repro.workloads.generators import distant_pairs_programs
-
-    n_ranks = len(works)
-
-    def factory():
-        return distant_pairs_programs(
-            list(works),
-            iterations=args.iterations,
-            profile=args.profile,
-            exchange_bytes=args.exchange_bytes,
-        )
-
-    try:
-        system = System(
-            SystemConfig(n_nodes=args.nodes, network=UniformNetwork())
-        )
-        baseline = system.run(
-            list(factory()),
-            mapping=ProcessMapping.identity(n_ranks),
-            label="search.cluster.baseline",
-        )
-        prune = not args.no_prune
-        pruned = len(candidate_placements(n_ranks, args.nodes))
-        total = len(
-            candidate_placements(n_ranks, args.nodes, prune_symmetry=False)
-        )
-        result = two_level_search(
-            system,
-            factory,
-            n_ranks=n_ranks,
-            n_nodes=args.nodes,
-            levels=levels,
-            max_gap=args.max_gap,
-            keep_top=args.top,
-            workers=args.workers,
-            prune_symmetry=prune,
-        )
-    except (ConfigurationError, MappingError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-
-    table = TextTable(
-        ["#", "mapping", "priorities", "time [s]", "imb %", "vs default %"],
-        title=(
-            f"two-level (placement -> priority) search: {n_ranks} ranks "
-            f"on {args.nodes} nodes"
-        ),
-    )
-    for place, (assignment, total_time, imbalance) in enumerate(
-        result.entries, start=1
-    ):
-        mapping = ",".join(
-            f"{r}>{c}" for r, c in assignment.mapping.rank_to_cpu
-        )
-        prios = ",".join(str(p) for _, p in assignment.priorities)
-        gain = (baseline.total_time - total_time) / baseline.total_time * 100.0
-        table.add_row([
-            place, mapping, prios,
-            f"{total_time:.4f}", f"{imbalance:.2f}", f"{gain:+.2f}",
-        ])
-    print(table.render())
-    print(
-        f"placements: {pruned} canonical of {total} "
-        f"({'pruned' if prune else 'NOT pruned'}; "
-        f"{total / pruned:.1f}x node-symmetry cut)"
-    )
-    stats = result.stats
-    print(
-        f"evaluated {stats.evaluations} candidates "
-        f"(workers {stats.workers}, model cache hit rate "
-        f"{stats.hit_rate * 100.0:.1f}%); default config: "
-        f"{baseline.total_time:.4f}s"
-    )
-    return 0
-
-
 def _cmd_search(args: argparse.Namespace) -> int:
+    """``repro search joint|cluster``: rank configurations against the
+    default (identity mapping, all-MEDIUM) run."""
     # Imported here like the oracle/tournament commands: the search and
     # workload layers are never needed by the architectural commands.
+    from repro.cluster import UniformNetwork
     from repro.core import (
         candidate_mappings,
+        candidate_placements,
         joint_search,
-        mapping_then_priority_search,
+        paired_extremes_mapping,
+        rank_pressures,
+        two_level_search,
     )
     from repro.errors import ConfigurationError, MappingError
     from repro.machine.mapping import ProcessMapping
     from repro.scenarios import ScenarioSpec
+    from repro.workloads.generators import distant_pairs_programs
 
     try:
         works = tuple(float(w) for w in args.works.split(",") if w.strip())
@@ -655,55 +584,86 @@ def _cmd_search(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"search {args.action}: {exc}", file=sys.stderr)
         return 2
-    if args.action == "cluster":
-        return _cmd_search_cluster(args, works, levels)
+    cluster = args.action == "cluster"
+    if cluster and args.staged:
+        print("search cluster: --staged applies to the joint action only",
+              file=sys.stderr)
+        return 2
+    n_ranks = len(works)
+    prune = not args.no_prune
+    pruning = "pruned" if prune else "NOT pruned"
+    common = dict(
+        levels=levels, max_gap=args.max_gap, keep_top=args.top,
+        workers=args.workers,
+    )
     try:
-        spec = ScenarioSpec(
-            name="search-joint",
-            kind=args.kind,
-            works=works,
-            iterations=args.iterations,
-            profile=args.profile,
-            seed=args.seed,
-        )
-        system = System(SystemConfig(seed=args.seed))
-        baseline = system.run(
-            list(spec.programs()),
-            mapping=ProcessMapping.identity(spec.n_ranks),
-            label="search.baseline",
-        )
-        if args.staged:
-            result = mapping_then_priority_search(
-                system,
-                spec.programs,
-                works,
-                profiles=args.profile,
-                levels=levels,
-                max_gap=args.max_gap,
-                keep_top=args.top,
-                workers=args.workers,
+        if cluster:
+            system = System(
+                SystemConfig(n_nodes=args.nodes, network=UniformNetwork())
             )
-            space_note = "staged: pressure-paired mapping, priorities searched"
+
+            def factory():
+                return distant_pairs_programs(
+                    list(works),
+                    iterations=args.iterations,
+                    profile=args.profile,
+                    exchange_bytes=args.exchange_bytes,
+                )
+
+            label = "search.cluster.baseline"
+            title = (
+                f"two-level (placement -> priority) search: {n_ranks} ranks "
+                f"on {args.nodes} nodes"
+            )
         else:
-            prune = not args.no_prune
+            factory = ScenarioSpec(
+                name="search-joint",
+                kind=args.kind,
+                works=works,
+                iterations=args.iterations,
+                profile=args.profile,
+                seed=args.seed,
+            ).programs
+            system = System(SystemConfig(seed=args.seed))
+            label = "search.baseline"
+            title = f"joint (mapping × priority) search over {n_ranks} ranks"
+        baseline = system.run(
+            list(factory()),
+            mapping=ProcessMapping.identity(n_ranks),
+            label=label,
+        )
+        if cluster:
+            cpus = system.config.chip.n_cpus
+            pruned = len(candidate_placements(n_ranks, args.nodes, cpus))
+            total = len(candidate_placements(
+                n_ranks, args.nodes, cpus, prune_symmetry=False
+            ))
+            result = two_level_search(
+                system, factory, n_ranks=n_ranks, n_nodes=args.nodes,
+                prune_symmetry=prune, **common,
+            )
+            note = (
+                f"placements: {pruned} canonical of {total} ({pruning}; "
+                f"{total / pruned:.1f}x node-symmetry cut)"
+            )
+        elif args.staged:
+            mapping = paired_extremes_mapping(rank_pressures(works, args.profile))
+            result = joint_search(
+                system, factory, n_ranks=n_ranks, mappings=[mapping], **common
+            )
+            note = "staged: pressure-paired mapping, priorities searched"
+        else:
             n_cores = system.config.chip.n_cores
-            pruned = len(candidate_mappings(spec.n_ranks, n_cores))
+            pruned = len(candidate_mappings(n_ranks, n_cores))
             total = len(
-                candidate_mappings(spec.n_ranks, n_cores, prune_symmetry=False)
+                candidate_mappings(n_ranks, n_cores, prune_symmetry=False)
             )
             result = joint_search(
-                system,
-                spec.programs,
-                n_ranks=spec.n_ranks,
-                levels=levels,
-                max_gap=args.max_gap,
-                keep_top=args.top,
-                workers=args.workers,
-                prune_symmetry=prune,
+                system, factory, n_ranks=n_ranks, prune_symmetry=prune,
+                **common,
             )
-            space_note = (
-                f"mappings: {pruned} canonical of {total} "
-                f"({'pruned' if prune else 'NOT pruned'}; "
+            note = (
+                f"mappings: {pruned} canonical of {total} ({pruning}; "
                 f"{total / pruned:.1f}x symmetry cut)"
             )
     except (ConfigurationError, MappingError) as exc:
@@ -712,7 +672,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
     table = TextTable(
         ["#", "mapping", "priorities", "time [s]", "imb %", "vs default %"],
-        title=f"joint (mapping × priority) search over {len(works)} ranks",
+        title=title,
     )
     for place, (assignment, total_time, imbalance) in enumerate(
         result.entries, start=1
@@ -727,7 +687,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             f"{total_time:.4f}", f"{imbalance:.2f}", f"{gain:+.2f}",
         ])
     print(table.render())
-    print(space_note)
+    print(note)
     stats = result.stats
     print(
         f"evaluated {stats.evaluations} candidates "
@@ -866,9 +826,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "or placement axis (same best physics, "
                                "strictly more simulation)")
     p_search.add_argument("--staged", action="store_true",
-                          help="mapping_then_priority heuristic: pick the "
-                               "mapping from decode pressure, search "
-                               "priorities only")
+                          help="joint action only: pick the mapping from "
+                               "decode pressure, search priorities on it")
     p_search.set_defaults(func=_cmd_search)
 
     p_engines = sub.add_parser(

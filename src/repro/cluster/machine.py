@@ -66,21 +66,6 @@ class ClusterMachine:
             for thread in (0, 1)
         ]
 
-    # -- addressing ------------------------------------------------------------
-
-    def node_of_cpu(self, cpu: int) -> int:
-        """Which node hosts global CPU ``cpu``."""
-        if not 0 <= cpu < self.config.n_cpus:
-            raise ConfigurationError(
-                f"cpu must be in 0..{self.config.n_cpus - 1}, got {cpu}"
-            )
-        return cpu // self.config.cpus_per_node
-
-    def local_cpu(self, cpu: int) -> int:
-        """The node-local CPU id of global CPU ``cpu``."""
-        self.node_of_cpu(cpu)  # bounds check
-        return cpu % self.config.cpus_per_node
-
     @property
     def cpus(self) -> List[int]:
         return list(range(self.config.n_cpus))

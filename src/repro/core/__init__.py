@@ -6,8 +6,9 @@
 * :mod:`repro.core.dynamic` — the paper's *future work*: an OS-level
   controller that re-assigns priorities during the run from observed
   waiting times.
-* :mod:`repro.core.search` — exhaustive/greedy search over mappings and
-  priorities (automating the paper's manual case A->B->C->D iteration).
+* :mod:`repro.core.search` — joint, two-level (cluster) and greedy
+  search over mappings and priorities (automating the paper's manual
+  case A->B->C->D iteration).
 * :mod:`repro.core.policy` — the :class:`Policy` protocol unifying both
   balancing families behind one fingerprintable interface (the zoo and
   the tournament live above, in :mod:`repro.policies`).
@@ -31,10 +32,8 @@ from repro.core.policy import (
 from repro.core.search import (
     SearchResult,
     SearchStats,
-    exhaustive_priority_search,
     greedy_priority_search,
     joint_search,
-    mapping_then_priority_search,
     candidate_assignments,
     candidate_mappings,
     candidate_placements,
@@ -63,10 +62,8 @@ __all__ = [
     "PlacementPolicy",
     "SearchResult",
     "SearchStats",
-    "exhaustive_priority_search",
     "greedy_priority_search",
     "joint_search",
-    "mapping_then_priority_search",
     "candidate_assignments",
     "candidate_mappings",
     "candidate_placements",

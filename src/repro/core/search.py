@@ -16,11 +16,20 @@ the chip's two contexts per core are interchangeable and its cores are
 identical, so mappings inducing the same rank partition are physics
 equivalent (digest-proven in ``tests/core/test_joint_search.py``; proof
 sketch in ``docs/mapping.md``) and only each class's canonical
-representative is evaluated. :func:`joint_search` crosses that axis
-with the priority axis, and :func:`mapping_then_priority_search` is the
-staged heuristic: pick the mapping from per-rank decode pressure
-(:func:`rank_pressures` — work × ILP appetite from the profile's
-miss/unit rates), then search priorities on it alone.
+representative is evaluated. :func:`joint_search` crosses a list of
+mappings with the priority axis; the list decides the strategy:
+
+* ``mappings=[m]`` — the paper's procedure, every priority combination
+  on one fixed mapping;
+* ``mappings=[paired_extremes_mapping(rank_pressures(works, profile))]``
+  — the staged heuristic: the mapping comes from per-rank decode
+  pressure (work × ILP appetite from the profile's miss/unit rates) at
+  no simulation cost, then priorities are searched on it alone;
+* the default, every canonical mapping — the joint optimum.
+
+:func:`two_level_search` adds the cluster placement axis and
+:func:`greedy_priority_search` hill-climbs instead of enumerating. All
+three evaluate and account through one private :class:`_Search`.
 """
 
 from __future__ import annotations
@@ -28,8 +37,8 @@ from __future__ import annotations
 import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.balancer import PriorityAssignment
 from repro.errors import ConfigurationError
@@ -47,10 +56,8 @@ __all__ = [
     "candidate_mappings",
     "candidate_placements",
     "canonical_placement",
-    "exhaustive_priority_search",
     "greedy_priority_search",
     "joint_search",
-    "mapping_then_priority_search",
     "placement_mapping",
     "rank_pressures",
     "paired_extremes_mapping",
@@ -88,8 +95,8 @@ class SearchResult:
     entries: Tuple[Tuple[PriorityAssignment, float, float], ...]
     """(assignment, total_time, imbalance_percent), best first."""
 
-    stats: Optional[SearchStats] = None
-    """Evaluation/cache accounting; ``None`` for hand-built results."""
+    stats: SearchStats
+    """Evaluation/cache accounting for the whole search call."""
 
     @property
     def best(self) -> PriorityAssignment:
@@ -101,21 +108,53 @@ class SearchResult:
 
     @property
     def evaluated(self) -> int:
-        """Candidates actually simulated.
-
-        Historically this was ``len(entries)``, which under-reported
-        whenever ``keep_top`` truncated the ranking; it now comes from
-        :attr:`stats` when available.
-        """
-        if self.stats is not None:
-            return self.stats.evaluations
-        return len(self.entries)
+        """Candidates actually simulated (not ``len(entries)``, which
+        ``keep_top`` truncates)."""
+        return self.stats.evaluations
 
     def improvement_over(self, reference_time: float) -> float:
         """Percent improvement of the best over a reference time."""
         if reference_time <= 0:
             raise ConfigurationError(f"reference_time must be > 0, got {reference_time}")
         return (reference_time - self.best_time) / reference_time * 100.0
+
+
+Entry = Tuple[PriorityAssignment, float, float]
+
+
+def _check_levels(levels: Sequence[int]) -> None:
+    for lv in levels:
+        if not 1 <= lv <= 6:
+            raise ConfigurationError(f"levels must be OS-settable (1-6), got {lv}")
+
+
+def _core_choices(
+    pairs: Sequence[Tuple[int, ...]],
+    levels: Sequence[int],
+    max_gap: int,
+) -> Iterator[Dict[int, int]]:
+    """Every per-core priority combination over the core groups ``pairs``.
+
+    A lone rank takes each level; a sibling pair takes every level pair
+    within ``max_gap``. Yields one rank→priority dict per combination,
+    in ``itertools.product`` order over ``pairs``.
+    """
+    per_core: List[List[Dict[int, int]]] = []
+    for pair in pairs:
+        if len(pair) == 1:
+            per_core.append([{pair[0]: lv} for lv in levels])
+        else:
+            a, b = pair
+            per_core.append([
+                {a: la, b: lb}
+                for la, lb in itertools.product(levels, repeat=2)
+                if abs(la - lb) <= max_gap
+            ])
+    for combo in itertools.product(*per_core):
+        prios: Dict[int, int] = {}
+        for d in combo:
+            prios.update(d)
+        yield prios
 
 
 def candidate_assignments(
@@ -132,65 +171,17 @@ def candidate_assignments(
     both levels (e.g. (3,3) vs (4,4)) are kept: absolute level matters at
     the boundaries (1 and 6) and for later dynamic adjustment headroom.
     """
-    for lv in levels:
-        if not 1 <= lv <= 6:
-            raise ConfigurationError(f"levels must be OS-settable (1-6), got {lv}")
-    pairs = mapping.core_pairs()
-    per_core_choices: List[List[Dict[int, int]]] = []
-    for pair in pairs:
-        choices: List[Dict[int, int]] = []
-        if len(pair) == 1:
-            for lv in levels:
-                choices.append({pair[0]: lv})
-        else:
-            a, b = pair
-            for la, lb in itertools.product(levels, repeat=2):
-                if abs(la - lb) <= max_gap:
-                    choices.append({a: la, b: lb})
-        per_core_choices.append(choices)
-    out: List[PriorityAssignment] = []
-    for combo in itertools.product(*per_core_choices):
-        prios: Dict[int, int] = {}
-        for d in combo:
-            prios.update(d)
-        out.append(PriorityAssignment.build(mapping, prios, label="search"))
-    return out
+    _check_levels(levels)
+    return [
+        PriorityAssignment.build(mapping, prios, label="search")
+        for prios in _core_choices(mapping.core_pairs(), levels, max_gap)
+    ]
 
 
 def _model_cache_stats(system: System):
     """The model's memo counters, or ``None`` if it keeps none."""
     getter = getattr(system.model, "cache_stats", None)
     return getter() if callable(getter) else None
-
-
-def _record_search(kind: str, stats: SearchStats, elapsed_s: float) -> None:
-    """Publish one search's accounting into the default registry.
-
-    One event per whole search — far off any hot path — so these are
-    always on. :class:`SearchStats` stays the returned public shape;
-    the registry is the cross-surface aggregate.
-    """
-    reg = default_registry()
-    reg.counter(
-        "repro_search_evaluations_total",
-        "Candidate assignments actually simulated, by search kind.",
-        labelnames=("kind",),
-    ).labels(kind).inc(stats.evaluations)
-    reg.counter(
-        "repro_search_cache_hits_total",
-        "Throughput-model memo hits during searches.",
-        labelnames=("kind",),
-    ).labels(kind).inc(max(0, stats.cache_hits))
-    reg.counter(
-        "repro_search_cache_misses_total",
-        "Throughput-model memo misses during searches.",
-        labelnames=("kind",),
-    ).labels(kind).inc(max(0, stats.cache_misses))
-    reg.histogram(
-        "repro_search_seconds",
-        "Wall seconds per search invocation.",
-        labelnames=("kind",),
-    ).labels(kind).observe(elapsed_s)
 
 
 def _evaluate_assignment(
@@ -207,101 +198,108 @@ def _evaluate_assignment(
     return result.total_time, result.imbalance_percent
 
 
-def _evaluate_candidate(payload) -> Tuple[float, float]:
-    """Worker entry point for parallel search (module-level so it is
-    picklable by :mod:`concurrent.futures`)."""
-    system, program_factory, assignment = payload
-    return _evaluate_assignment(system, program_factory, assignment)
+class _Search:
+    """One search call: evaluate candidate batches, account once.
 
-
-def _ranked_search(
-    system: System,
-    program_factory: Callable[[], Sequence[RankProgram]],
-    candidates: Sequence[PriorityAssignment],
-    keep_top: int,
-    workers: int,
-    kind: str,
-) -> SearchResult:
-    """Evaluate ``candidates`` (pool or serial), rank them, record stats.
-
-    The shared engine behind the exhaustive, joint and staged searches:
-    ``executor.map`` preserves candidate order, and each run is
-    deterministic given (programs, mapping, priorities), so the ranking
-    is byte-identical to the serial one. The system and factory must be
-    picklable for the pool path; when they are not (e.g. a lambda
-    factory), the search transparently falls back to the serial path.
-    Worker model caches are private to the pool, so cross-candidate
-    cache reuse — and the hit/miss accounting — only happens in serial
-    mode.
+    Every strategy is a loop over :meth:`rank` followed by one
+    :meth:`result`. ``executor.map`` preserves candidate order, and each
+    run is deterministic given (programs, mapping, priorities), so a
+    pooled batch ranks byte-identically to the serial one. The system
+    and factory must be picklable for the pool path; when they are not
+    (e.g. a lambda factory), the batch transparently falls back to the
+    serial path. Worker model caches are private to the pool, so
+    cross-candidate cache reuse — and the hit/miss accounting — only
+    happens in serial mode.
     """
-    if not candidates:
-        raise ConfigurationError("search evaluated no candidates")
-    before = _model_cache_stats(system)
-    t0 = time.perf_counter()
 
-    outcomes: Optional[List[Tuple[float, float]]] = None
-    used_workers = 1
-    if workers > 1 and len(candidates) > 1:
-        try:
-            n = min(int(workers), len(candidates))
-            with ProcessPoolExecutor(max_workers=n) as pool:
-                outcomes = list(
-                    pool.map(
-                        _evaluate_candidate,
-                        [(system, program_factory, a) for a in candidates],
-                    )
-                )
-            used_workers = n
-        except Exception:
-            # Unpicklable system/factory or a broken pool: evaluate
-            # serially instead (any genuine simulation error will
-            # re-raise below, from the same candidate).
-            outcomes = None
-    if outcomes is None:
-        outcomes = [
-            _evaluate_assignment(system, program_factory, a) for a in candidates
-        ]
+    def __init__(
+        self,
+        system: System,
+        program_factory: Callable[[], Sequence[RankProgram]],
+        workers: int,
+        kind: str,
+    ) -> None:
+        self.system = system
+        self.program_factory = program_factory
+        self.workers = int(workers)
+        self.kind = kind
+        self.used_workers = 1
+        self.entries: List[Entry] = []
+        self._cache_before = _model_cache_stats(system)
+        self._t0 = time.perf_counter()
 
-    entries: List[Tuple[PriorityAssignment, float, float]] = [
-        (a, t, imb) for a, (t, imb) in zip(candidates, outcomes)
-    ]
-    after = _model_cache_stats(system)
-    hits = misses = 0
-    if before is not None and after is not None:
-        hits = after.hits - before.hits
-        misses = after.misses - before.misses
-    stats = SearchStats(
-        evaluations=len(candidates),
-        cache_hits=hits,
-        cache_misses=misses,
-        workers=used_workers,
-    )
-    _record_search(kind, stats, time.perf_counter() - t0)
-    entries.sort(key=lambda e: e[1])
-    if keep_top > 0:
-        entries = entries[:keep_top]
-    return SearchResult(tuple(entries), stats=stats)
+    def rank(self, candidates: Sequence[PriorityAssignment]) -> List[Entry]:
+        """Evaluate one batch; return it best first (stable on ties)."""
+        if not candidates:
+            raise ConfigurationError("search evaluated no candidates")
+        outcomes: Optional[List[Tuple[float, float]]] = None
+        if self.workers > 1 and len(candidates) > 1:
+            n = min(self.workers, len(candidates))
+            try:
+                with ProcessPoolExecutor(max_workers=n) as pool:
+                    outcomes = list(pool.map(
+                        _evaluate_assignment,
+                        itertools.repeat(self.system),
+                        itertools.repeat(self.program_factory),
+                        candidates,
+                    ))
+                self.used_workers = max(self.used_workers, n)
+            except Exception:
+                # Unpicklable system/factory or a broken pool: evaluate
+                # serially instead (any genuine simulation error will
+                # re-raise below, from the same candidate).
+                outcomes = None
+        if outcomes is None:
+            outcomes = [
+                _evaluate_assignment(self.system, self.program_factory, a)
+                for a in candidates
+            ]
+        ranked = [(a, t, imb) for a, (t, imb) in zip(candidates, outcomes)]
+        ranked.sort(key=lambda e: e[1])
+        self.entries.extend(ranked)
+        return ranked
 
+    def result(self, keep_top: int = 0) -> SearchResult:
+        """Rank everything evaluated and publish this call's accounting.
 
-def exhaustive_priority_search(
-    system: System,
-    program_factory: Callable[[], Sequence[RankProgram]],
-    mapping: ProcessMapping,
-    levels: Sequence[int] = (3, 4, 5, 6),
-    max_gap: int = 2,
-    keep_top: int = 0,
-    workers: int = 1,
-) -> SearchResult:
-    """Evaluate every candidate assignment; return them ranked.
-
-    ``program_factory`` must build *fresh* generator programs per run
-    (generators are single-use). Parallelism, determinism and the
-    serial fallback are :func:`_ranked_search`'s contract.
-    """
-    candidates = candidate_assignments(mapping, levels, max_gap)
-    return _ranked_search(
-        system, program_factory, candidates, keep_top, workers, "exhaustive"
-    )
+        One telemetry record per search call, far off any hot path, so
+        these instruments are always on. :class:`SearchStats` stays the
+        returned public shape; the registry is the cross-surface
+        aggregate.
+        """
+        before, after = self._cache_before, _model_cache_stats(self.system)
+        hits = misses = 0
+        if before is not None and after is not None:
+            hits = after.hits - before.hits
+            misses = after.misses - before.misses
+        stats = SearchStats(
+            evaluations=len(self.entries),
+            cache_hits=hits,
+            cache_misses=misses,
+            workers=self.used_workers,
+        )
+        reg = default_registry()
+        for name, help_text, value in (
+            ("repro_search_evaluations_total",
+             "Candidate assignments actually simulated, by search kind.",
+             stats.evaluations),
+            ("repro_search_cache_hits_total",
+             "Throughput-model memo hits during searches.", max(0, hits)),
+            ("repro_search_cache_misses_total",
+             "Throughput-model memo misses during searches.", max(0, misses)),
+        ):
+            reg.counter(name, help_text, labelnames=("kind",)).labels(
+                self.kind
+            ).inc(value)
+        reg.histogram(
+            "repro_search_seconds",
+            "Wall seconds per search invocation.",
+            labelnames=("kind",),
+        ).labels(self.kind).observe(time.perf_counter() - self._t0)
+        entries = sorted(self.entries, key=lambda e: e[1])
+        if keep_top > 0:
+            entries = entries[:keep_top]
+        return SearchResult(tuple(entries), stats=stats)
 
 
 def greedy_priority_search(
@@ -316,55 +314,37 @@ def greedy_priority_search(
     """Hill-climb: try single-rank priority moves until no improvement.
 
     Far fewer runs than exhaustive search (the paper's manual procedure
-    is essentially this loop); may stop in a local optimum.
+    is essentially this loop); may stop in a local optimum. Each step
+    ranks the whole single-rank-move neighbourhood and moves to its
+    first minimum on strict improvement. The result ranks every point
+    evaluated, serially.
     """
     if start is None:
         start = PriorityAssignment.build(
             mapping, {r: 4 for r in range(mapping.n_ranks)}, label="start"
         )
-
-    before = _model_cache_stats(system)
-    t0 = time.perf_counter()
-
-    def evaluate(assignment: PriorityAssignment) -> Tuple[float, float]:
-        return _evaluate_assignment(system, program_factory, assignment)
-
+    search = _Search(system, program_factory, 1, "greedy")
+    current_time = search.rank([start])[0][1]
     current = start
-    current_time, current_imb = evaluate(current)
-    history: List[Tuple[PriorityAssignment, float, float]] = [
-        (current, current_time, current_imb)
-    ]
     for _ in range(max_steps):
-        best_move: Optional[Tuple[PriorityAssignment, float, float]] = None
         prios = current.priority_dict
+        moves = []
         for rank in range(mapping.n_ranks):
             for lv in levels:
                 if lv == prios[rank]:
                     continue
-                trial_prios = dict(prios)
-                trial_prios[rank] = lv
-                trial = PriorityAssignment.build(mapping, trial_prios, label="greedy")
-                if trial.max_gap > max_gap:
-                    continue
-                t, imb = evaluate(trial)
-                history.append((trial, t, imb))
-                if best_move is None or t < best_move[1]:
-                    best_move = (trial, t, imb)
-        if best_move is None or best_move[1] >= current_time:
+                trial = PriorityAssignment.build(
+                    mapping, {**prios, rank: lv}, label="greedy"
+                )
+                if trial.max_gap <= max_gap:
+                    moves.append(trial)
+        if not moves:
             break
-        current, current_time, current_imb = best_move
-    after = _model_cache_stats(system)
-    hits = misses = 0
-    if before is not None and after is not None:
-        hits = after.hits - before.hits
-        misses = after.misses - before.misses
-    evaluations = len(history)
-    stats = SearchStats(
-        evaluations=evaluations, cache_hits=hits, cache_misses=misses
-    )
-    _record_search("greedy", stats, time.perf_counter() - t0)
-    history.sort(key=lambda e: e[1])
-    return SearchResult(tuple(history), stats=stats)
+        best, best_time, _ = search.rank(moves)[0]
+        if best_time >= current_time:
+            break
+        current, current_time = best, best_time
+    return search.result()
 
 
 # -- the mapping axis -----------------------------------------------------------
@@ -413,7 +393,6 @@ def joint_search(
     system: System,
     program_factory: Callable[[], Sequence[RankProgram]],
     n_ranks: int,
-    n_cores: Optional[int] = None,
     levels: Sequence[int] = (3, 4, 5, 6),
     max_gap: int = 2,
     keep_top: int = 0,
@@ -421,20 +400,19 @@ def joint_search(
     prune_symmetry: bool = True,
     mappings: Optional[Sequence[ProcessMapping]] = None,
 ) -> SearchResult:
-    """Search the joint (mapping × priority) space, ranked best first.
+    """Search mapping × priority in one batch, ranked best first.
 
-    The cross product of :func:`candidate_mappings` (symmetry-pruned by
-    default; pass ``mappings`` to search an explicit shortlist instead)
-    with :func:`candidate_assignments` per mapping. Every entry's
-    :class:`~repro.core.balancer.PriorityAssignment` carries its mapping,
-    so the result shape, the process-pool parallelism and the
-    :class:`SearchStats` accounting are exactly the priority-only
-    search's. ``n_cores`` defaults to the system's chip.
+    The cross product of ``mappings`` with :func:`candidate_assignments`
+    per mapping. ``mappings`` defaults to :func:`candidate_mappings` on
+    the system's chip (symmetry-pruned unless ``prune_symmetry`` is
+    off); pass ``[m]`` to search priorities on one fixed mapping, or a
+    pairing heuristic's mapping for the staged search. Every entry's
+    :class:`~repro.core.balancer.PriorityAssignment` carries its mapping.
     """
-    if n_cores is None:
-        n_cores = system.config.chip.n_cores
     if mappings is None:
-        mappings = candidate_mappings(n_ranks, n_cores, prune_symmetry)
+        mappings = candidate_mappings(
+            n_ranks, system.config.chip.n_cores, prune_symmetry
+        )
     candidates: List[PriorityAssignment] = []
     for mapping in mappings:
         if mapping.n_ranks != n_ranks:
@@ -443,9 +421,9 @@ def joint_search(
                 f"expected {n_ranks}"
             )
         candidates.extend(candidate_assignments(mapping, levels, max_gap))
-    return _ranked_search(
-        system, program_factory, candidates, keep_top, workers, "joint"
-    )
+    search = _Search(system, program_factory, workers, "joint")
+    search.rank(candidates)
+    return search.result(keep_top)
 
 
 # -- the placement axis (clusters) ----------------------------------------------
@@ -571,11 +549,10 @@ def placement_mapping(
 
 
 def two_level_search(
-    system,
+    system: System,
     program_factory: Callable[[], Sequence[RankProgram]],
     n_ranks: int,
     n_nodes: int,
-    cpus_per_node: int = 4,
     nodes_per_switch: Optional[int] = None,
     levels: Sequence[int] = (3, 4, 5, 6),
     max_gap: int = 2,
@@ -594,83 +571,43 @@ def two_level_search(
     exhausting that node's per-core priority combinations (``levels``,
     ``max_gap`` — the same grammar as :func:`candidate_assignments`)
     while the other nodes hold their current best; a node's winner is
-    adopted only on strict improvement. ``system`` is typically a
-    multi-node :class:`~repro.machine.system.System`; anything with the
-    ``System.run`` signature works. The result ranks everything both
-    stages evaluated, best first.
+    adopted only on strict improvement. A node spans the system chip's
+    CPUs (``system.config.chip.n_cpus``). The result ranks everything
+    both stages evaluated, best first.
     """
+    _check_levels(levels)
+    cpus_per_node = system.config.chip.n_cpus
     if placements is None:
         placements = candidate_placements(
             n_ranks, n_nodes, cpus_per_node, nodes_per_switch, prune_symmetry
         )
     flat = {r: 4 for r in range(n_ranks)}
-    stage1 = _ranked_search(
-        system,
-        program_factory,
-        [
-            PriorityAssignment.build(
-                placement_mapping(p, cpus_per_node), flat, label="placement"
-            )
-            for p in placements
-        ],
-        0,
-        workers,
-        "placement",
-    )
-    best_entry = stage1.entries[0]
-    mapping = best_entry[0].mapping
-
-    entries: List[Tuple[PriorityAssignment, float, float]] = list(stage1.entries)
-    evaluations = stage1.stats.evaluations
-    hits, misses = stage1.stats.cache_hits, stage1.stats.cache_misses
-    current = dict(flat)
-    for node in range(n_nodes):
-        by_core: Dict[int, List[int]] = {}
-        for rank in range(n_ranks):
-            cpu = mapping.cpu_of(rank)
-            if cpu // cpus_per_node == node:
-                by_core.setdefault(cpu // 2, []).append(rank)
-        if not by_core:
-            continue
-        per_core_choices: List[List[Dict[int, int]]] = []
-        for core in sorted(by_core):
-            group = sorted(by_core[core])
-            if len(group) == 1:
-                per_core_choices.append([{group[0]: lv} for lv in levels])
-            else:
-                a, b = group
-                per_core_choices.append([
-                    {a: la, b: lb}
-                    for la, lb in itertools.product(levels, repeat=2)
-                    if abs(la - lb) <= max_gap
-                ])
-        candidates = []
-        for combo in itertools.product(*per_core_choices):
-            prios = dict(current)
-            for d in combo:
-                prios.update(d)
-            candidates.append(
-                PriorityAssignment.build(mapping, prios, label="two-level")
-            )
-        ranked = _ranked_search(
-            system, program_factory, candidates, 0, workers, "two-level"
+    search = _Search(system, program_factory, workers, "two-level")
+    best, best_time, _ = search.rank([
+        PriorityAssignment.build(
+            placement_mapping(p, cpus_per_node), flat, label="placement"
         )
-        entries.extend(ranked.entries)
-        evaluations += ranked.stats.evaluations
-        hits += ranked.stats.cache_hits
-        misses += ranked.stats.cache_misses
-        if ranked.best_time < best_entry[1]:
-            best_entry = ranked.entries[0]
-            current = best_entry[0].priority_dict
-
-    entries.sort(key=lambda e: e[1])
-    if keep_top > 0:
-        entries = entries[:keep_top]
-    stats = SearchStats(
-        evaluations=evaluations, cache_hits=hits, cache_misses=misses,
-        workers=max(stage1.stats.workers, 1),
-    )
-    return SearchResult(tuple(entries), stats=stats)
+        for p in placements
+    ])[0]
+    mapping = best.mapping
+    current = flat
+    for node in range(n_nodes):
+        pairs = [
+            pair for pair in mapping.core_pairs()
+            if mapping.cpu_of(pair[0]) // cpus_per_node == node
+        ]
+        if not pairs:
+            continue
+        node_best, node_time, _ = search.rank([
+            PriorityAssignment.build(
+                mapping, {**current, **prios}, label="two-level"
+            )
+            for prios in _core_choices(pairs, levels, max_gap)
+        ])[0]
+        if node_time < best_time:
+            best_time = node_time
+            current = node_best.priority_dict
+    return search.result(keep_top)
 
 
 # -- the staged heuristic -------------------------------------------------------
@@ -762,31 +699,3 @@ def paired_adjacent_mapping(pressures: Sequence[float]) -> ProcessMapping:
     for i, rank in enumerate(order):
         mapping[rank] = i
     return ProcessMapping.from_dict(mapping).canonical()
-
-
-def mapping_then_priority_search(
-    system: System,
-    program_factory: Callable[[], Sequence[RankProgram]],
-    works: Sequence[float],
-    profiles: Union[str, LoadProfile, Sequence[Union[str, LoadProfile]]] = "hpc",
-    levels: Sequence[int] = (3, 4, 5, 6),
-    max_gap: int = 2,
-    keep_top: int = 0,
-    workers: int = 1,
-) -> SearchResult:
-    """The staged heuristic: choose the mapping, then search priorities.
-
-    Stage one costs no simulation at all — the mapping comes from
-    :func:`rank_pressures` over the per-workload profiles
-    :mod:`repro.smt` already models (extreme pairing, the ILP-aware
-    allocation rule). Stage two is the exhaustive priority search on
-    that single mapping. Against :func:`joint_search` this trades the
-    mapping dimension's whole candidate factor for one pressure sort;
-    ``benchmarks/bench_joint_search.py`` records how much of the joint
-    optimum it recovers.
-    """
-    mapping = paired_extremes_mapping(rank_pressures(works, profiles))
-    candidates = candidate_assignments(mapping, levels, max_gap)
-    return _ranked_search(
-        system, program_factory, candidates, keep_top, workers, "staged"
-    )

@@ -14,12 +14,13 @@ about — per axis, in seconds, against the same default configuration:
     (:func:`repro.core.candidate_mappings`), priorities untouched.
 ``best priority @ identity``
     The priority axis alone — the paper's procedure, automated
-    (:func:`repro.core.exhaustive_priority_search` on the identity
-    mapping).
+    (:func:`repro.core.joint_search` over the identity mapping only).
 ``staged heuristic``
-    :func:`repro.core.mapping_then_priority_search`: the decode-pressure
-    pairing picks the mapping for free, then priorities are searched on
-    it alone. How much of the joint optimum the cheap heuristic recovers.
+    :func:`repro.core.joint_search` over the one mapping the
+    decode-pressure pairing picks for free
+    (:func:`repro.core.paired_extremes_mapping` of
+    :func:`repro.core.rank_pressures`). How much of the joint optimum
+    the cheap heuristic recovers.
 ``joint best``
     The full cross product (:func:`repro.core.joint_search`) — the upper
     bound both restrictions chase.
@@ -33,11 +34,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
-from repro.core import (
-    exhaustive_priority_search,
-    joint_search,
-    mapping_then_priority_search,
-)
+from repro.core import joint_search, paired_extremes_mapping, rank_pressures
 from repro.machine.mapping import ProcessMapping
 from repro.machine.system import System, SystemConfig
 from repro.scenarios import ScenarioSpec
@@ -90,13 +87,14 @@ def allocation_axes_table(
         system, spec.programs, n_ranks=spec.n_ranks, levels=(4,), max_gap=0,
         keep_top=1,
     )
-    priority_only = exhaustive_priority_search(
-        system, spec.programs, identity, levels=levels, max_gap=max_gap,
-        keep_top=1,
+    priority_only = joint_search(
+        system, spec.programs, n_ranks=spec.n_ranks, levels=levels,
+        max_gap=max_gap, keep_top=1, mappings=[identity],
     )
-    staged = mapping_then_priority_search(
-        system, spec.programs, spec.works, profiles=profile,
-        levels=levels, max_gap=max_gap, keep_top=1,
+    staged = joint_search(
+        system, spec.programs, n_ranks=spec.n_ranks, levels=levels,
+        max_gap=max_gap, keep_top=1,
+        mappings=[paired_extremes_mapping(rank_pressures(spec.works, profile))],
     )
     joint = joint_search(
         system, spec.programs, n_ranks=spec.n_ranks, levels=levels,

@@ -15,14 +15,11 @@ def machine():
 class TestAddressing:
     def test_global_cpu_layout(self, machine):
         assert machine.config.n_cpus == 12
-        assert machine.node_of_cpu(0) == 0
-        assert machine.node_of_cpu(4) == 1
-        assert machine.node_of_cpu(11) == 2
-        assert machine.local_cpu(5) == 1
+        assert machine.cpus == list(range(12))
 
     def test_out_of_range(self, machine):
         with pytest.raises(ConfigurationError):
-            machine.node_of_cpu(12)
+            machine.priority(12)
 
     def test_core_groups_per_chip(self, machine):
         assert machine.core_groups == [[0, 1], [2, 3], [4, 5]]

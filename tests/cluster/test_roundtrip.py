@@ -12,7 +12,6 @@ import pytest
 
 from repro.cluster import (
     NETWORK_KINDS,
-    ClusterConfig,
     TopologySpec,
     TwoLevelTree,
     UniformNetwork,
@@ -84,5 +83,4 @@ class TestTopologySpecRoundTrip:
             network="two-level-tree",
             params=(("nodes_per_switch", 2),),
         )
-        assert spec.cluster_config() == ClusterConfig(n_nodes=4)
         assert spec.network_model() == TwoLevelTree(nodes_per_switch=2)

@@ -6,8 +6,8 @@ from repro.core.balancer import PriorityAssignment
 from repro.core.search import (
     SearchStats,
     candidate_assignments,
-    exhaustive_priority_search,
     greedy_priority_search,
+    joint_search,
 )
 from repro.machine.system import System, SystemConfig
 from repro.errors import ConfigurationError
@@ -20,6 +20,13 @@ MAPPING = ProcessMapping.identity(2)
 
 def factory():
     return barrier_loop_programs(WORKS, iterations=2)
+
+
+def exhaustive(system, program_factory, mapping, **kwargs):
+    """The paper's procedure: every priority combination on one mapping."""
+    return joint_search(
+        system, program_factory, mapping.n_ranks, mappings=[mapping], **kwargs
+    )
 
 
 class TestCandidates:
@@ -44,7 +51,7 @@ class TestCandidates:
 
 class TestExhaustive:
     def test_finds_better_than_default(self, system):
-        result = exhaustive_priority_search(
+        result = exhaustive(
             system, factory, MAPPING, levels=(4, 5, 6), max_gap=2
         )
         default_time = [
@@ -56,14 +63,14 @@ class TestExhaustive:
         assert best[1] >= best[0]
 
     def test_entries_sorted(self, system):
-        result = exhaustive_priority_search(
+        result = exhaustive(
             system, factory, MAPPING, levels=(4, 5), max_gap=1
         )
         times = [t for _, t, _ in result.entries]
         assert times == sorted(times)
 
     def test_keep_top(self, system):
-        result = exhaustive_priority_search(
+        result = exhaustive(
             system, factory, MAPPING, levels=(4, 5), max_gap=1, keep_top=2
         )
         # keep_top truncates the ranking, not the work accounting: all
@@ -73,7 +80,7 @@ class TestExhaustive:
         assert result.stats is not None and result.stats.evaluations == 4
 
     def test_improvement_over(self, system):
-        result = exhaustive_priority_search(
+        result = exhaustive(
             system, factory, MAPPING, levels=(4, 5, 6), max_gap=2
         )
         assert result.improvement_over(1e9) > 99.0
@@ -93,11 +100,11 @@ class TestGreedy:
         greedy = greedy_priority_search(
             system, factory, MAPPING, levels=(3, 4, 5, 6), max_gap=2, max_steps=3
         )
-        exhaustive = exhaustive_priority_search(
+        full = exhaustive(
             system, factory, MAPPING, levels=(3, 4, 5, 6), max_gap=2
         )
         # Greedy's history contains every evaluated point.
-        assert greedy.evaluated <= exhaustive.evaluated * 2  # sanity bound
+        assert greedy.evaluated <= full.evaluated * 2  # sanity bound
 
     def test_custom_start(self, system):
         start = PriorityAssignment.build(MAPPING, {0: 4, 1: 6}, label="seed")
@@ -109,7 +116,7 @@ class TestGreedy:
 
 class TestSearchStats:
     def test_serial_stats_track_model_cache(self, system):
-        result = exhaustive_priority_search(
+        result = exhaustive(
             system, factory, MAPPING, levels=(4, 5), max_gap=1
         )
         stats = result.stats
@@ -134,10 +141,10 @@ class TestSearchStats:
 
 class TestParallel:
     def test_parallel_matches_serial(self):
-        serial = exhaustive_priority_search(
+        serial = exhaustive(
             System(SystemConfig()), factory, MAPPING, levels=(4, 5), max_gap=1
         )
-        parallel = exhaustive_priority_search(
+        parallel = exhaustive(
             System(SystemConfig()),
             factory,
             MAPPING,
@@ -154,12 +161,12 @@ class TestParallel:
         """workers=1 and workers=N walk the same candidate space and must
         produce identical entries, times and imbalances — parallelism is
         an implementation detail, not a physics knob."""
-        serial = exhaustive_priority_search(
+        serial = exhaustive(
             System(SystemConfig()), factory, MAPPING, levels=(4, 5, 6), max_gap=2
         )
         flat = [(a.priority_dict, t, imb) for a, t, imb in serial.entries]
         for workers in (2, 4):
-            par = exhaustive_priority_search(
+            par = exhaustive(
                 System(SystemConfig()),
                 factory,
                 MAPPING,
@@ -173,14 +180,14 @@ class TestParallel:
     def test_unpicklable_factory_falls_back_to_serial(self, system):
         local_works = list(WORKS)
         lambda_factory = lambda: barrier_loop_programs(local_works, iterations=2)
-        result = exhaustive_priority_search(
+        result = exhaustive(
             system, lambda_factory, MAPPING, levels=(4, 5), max_gap=1, workers=2
         )
         assert result.stats.workers == 1  # pool refused the lambda
         assert result.evaluated == 4
 
     def test_single_candidate_stays_serial(self, system):
-        result = exhaustive_priority_search(
+        result = exhaustive(
             system, factory, MAPPING, levels=(4,), max_gap=0, workers=4
         )
         assert result.stats.workers == 1

@@ -273,3 +273,31 @@ class TestSearchCommand:
         assert (
             main(["search", "joint", "--works", "1e9,1e9,1e9,1e9,1e9"]) == 2
         )
+
+
+class TestSearchClusterCommand:
+    ARGS = [
+        "search", "cluster", "--works", "1e9,3e9,2e9,4e9", "--nodes", "2",
+        "--levels", "4", "--iterations", "1", "--exchange-bytes", "1000000",
+    ]
+
+    def test_reports_ranking_placements_and_stats(self, capsys):
+        assert main(self.ARGS) == 0
+        out = capsys.readouterr().out
+        assert "two-level (placement -> priority) search: 4 ranks on 2 nodes" in out
+        rows = [l for l in out.splitlines() if l.startswith("1 ")]
+        assert len(rows) == 1 and rows[0].count("|") == 5
+        assert "placements: 8 canonical of 16 (pruned;" in out
+        assert "evaluated " in out and "default config:" in out
+
+    def test_bad_works_rejected(self, capsys):
+        assert main(["search", "cluster", "--works", "fast,slow"]) == 2
+
+    def test_bad_levels_rejected(self, capsys):
+        assert main(self.ARGS + ["--levels", "4,9"]) == 2
+        assert "levels must be OS-settable" in capsys.readouterr().err
+
+    def test_staged_is_rejected(self, capsys):
+        assert main(self.ARGS + ["--staged"]) == 2
+        err = capsys.readouterr().err
+        assert "--staged" in err
