@@ -19,8 +19,9 @@ import pathlib
 import time
 
 from repro.scenarios import ScenarioSpec
-from repro.service.executor import ScenarioService, ServiceConfig, percentile
+from repro.service.executor import ScenarioService, ServiceConfig
 from repro.service.jobs import JobSpec, JobState
+from repro.util.stats import percentile
 
 RESULTS_PATH = pathlib.Path(__file__).parent / "results" / "BENCH_service.json"
 

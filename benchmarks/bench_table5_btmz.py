@@ -18,11 +18,7 @@ def test_table5_btmz(benchmark, system, save_artifact):
     )
     parts = [comparison_table(results).render()]
     for r in results:
-        prios = r.case.priorities or {i: 4 for i in range(r.case.n_ranks)}
-        cores = {i: r.case.mapping.core_of(i) + 1 for i in range(r.case.n_ranks)}
-        parts.append(
-            r.run.stats.as_table(prios, cores, label=f"BT-MZ case {r.case.name}").render()
-        )
+        parts.append(r.rank_table(f"BT-MZ case {r.case.name}").render())
     save_artifact("table5_btmz", "\n\n".join(parts))
 
     t = {r.case.name: r.measured_exec for r in results}

@@ -19,10 +19,7 @@ print(comparison_table(results).render())
 print()
 
 for r in results:
-    prios = r.case.priorities or {i: 4 for i in range(r.case.n_ranks)}
-    cores = {i: r.case.mapping.core_of(i) + 1 for i in range(r.case.n_ranks)}
-    print(r.run.stats.as_table(prios, cores, label=f"case {r.case.name}: "
-                                                   f"{r.case.description}").render())
+    print(r.rank_table(f"case {r.case.name}: {r.case.description}").render())
     print()
 
 # Figure 2-style trace of the winning configuration.

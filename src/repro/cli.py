@@ -130,10 +130,7 @@ def _cmd_case(args: argparse.Namespace) -> int:
     saved = system.save_throughput_table()
     if saved is not None:
         print(f"[cache] persisted {saved} throughput entries to {args.table}")
-    prios = case.priorities or {r: 4 for r in range(case.n_ranks)}
-    cores = {r: case.mapping.core_of(r) + 1 for r in range(case.n_ranks)}
-    print(result.run.stats.as_table(prios, cores,
-                                    label=f"{args.suite} case {case.name}").render())
+    print(result.rank_table(f"{args.suite} case {case.name}").render())
     print()
     print(f"paper: {case.paper_exec_seconds:.2f}s / "
           f"{case.paper_imbalance_percent:.2f}%   "
@@ -145,7 +142,7 @@ def _cmd_case(args: argparse.Namespace) -> int:
     if args.prv:
         with open(args.prv, "w") as fh:
             fh.write(render_prv(result.run.trace,
-                                rank_to_cpu=case.mapping.as_dict()))
+                                rank_to_cpu=case.spec.mapping_obj().as_dict()))
         pcf_path = args.prv.rsplit(".", 1)[0] + ".pcf"
         with open(pcf_path, "w") as fh:
             fh.write(render_pcf())

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.machine.mapping import ProcessMapping
 from repro.mpi.process import RankProgram
 from repro.scenarios.spec import ScenarioSpec
 from repro.smt.analytic import AnalyticThroughputModel
@@ -45,8 +44,7 @@ class ExperimentCase:
     """One row group of a paper table: a runnable spec plus paper values.
 
     The configuration itself (workload, mapping, priorities) lives in
-    ``spec``; the legacy ``mapping``/``priorities``/``n_ranks`` accessors
-    are views over it so report/benchmark code reads one source of truth.
+    ``spec``, the one source of truth report and benchmark code read.
     """
 
     name: str  # "A", "B", "C", "D", "ST"
@@ -55,19 +53,6 @@ class ExperimentCase:
     paper_imbalance_percent: float
     paper_comp_percent: Tuple[float, ...] = ()
     description: str = ""
-
-    @property
-    def mapping(self) -> ProcessMapping:
-        return self.spec.mapping_obj()
-
-    #: rank -> priority; None = defaults (all MEDIUM).
-    @property
-    def priorities(self) -> Optional[Dict[int, int]]:
-        return self.spec.priority_dict()
-
-    @property
-    def n_ranks(self) -> int:
-        return self.spec.n_ranks
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence
 from repro.experiments.allocation import allocation_axes_table
 from repro.experiments.cases import Suite, btmz_suite, metbench_suite, siesta_suite
 from repro.experiments.figures import figure1_traces
-from repro.experiments.runner import CaseResult, comparison_table, run_suite
+from repro.experiments.runner import comparison_table, run_suite
 from repro.experiments.table2 import decode_cycles_table, measured_decode_shares
 from repro.experiments.table3 import special_cases_table
 from repro.machine.system import System, SystemConfig
@@ -30,17 +30,7 @@ def suite_report(
     results = run_suite(suite, system=system, cases=cases)
     parts: List[str] = [comparison_table(results).render()]
     for r in results:
-        prios = r.case.priorities or {
-            rank: 4 for rank in range(r.case.n_ranks)
-        }
-        cores = {
-            rank: r.case.mapping.core_of(rank) + 1 for rank in range(r.case.n_ranks)
-        }
-        parts.append(
-            r.run.stats.as_table(
-                priorities=prios, cores=cores, label=f"case {r.case.name}"
-            ).render()
-        )
+        parts.append(r.rank_table(f"case {r.case.name}").render())
     return "\n\n".join(parts)
 
 

@@ -36,6 +36,16 @@ class CaseResult:
     def measured_comp_percent(self) -> List[float]:
         return [r.compute_percent for r in self.run.stats.ranks]
 
+    def rank_table(self, label: str) -> TextTable:
+        """The paper-style per-rank table (Tables IV-VI): each rank's
+        priority (MEDIUM when the case sets none) and 1-based core."""
+        spec = self.case.spec
+        ranks = range(spec.n_ranks)
+        priorities = spec.priority_dict() or {r: 4 for r in ranks}
+        mapping = spec.mapping_obj()
+        cores = {r: mapping.core_of(r) + 1 for r in ranks}
+        return self.run.stats.as_table(priorities, cores, label=label)
+
 
 def run_case(
     system: System,

@@ -40,6 +40,7 @@ from repro.errors import GoldenMismatchError, OracleError, PersistenceError
 from repro.mpi.runtime import RunResult
 from repro.policies import Leaderboard, TournamentConfig, run_tournament
 from repro.scenarios import ScenarioSpec, get_engine, trace_digest
+from repro.util.jsonfile import write_json_atomic
 
 __all__ = [
     "GOLDEN_FORMAT",
@@ -166,12 +167,7 @@ def record(scenario: ScenarioSpec, path: str) -> dict:
     and write its snapshot to ``path``."""
     result = _replay(scenario)
     doc = snapshot(scenario, result)
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    write_json_atomic(path, doc)
     return doc
 
 
@@ -501,12 +497,7 @@ def record_joint_search(directory: str) -> str:
         "best_trace_digest": digest,
     }
     path = joint_search_path(directory)
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    write_json_atomic(path, doc)
     return path
 
 

@@ -29,7 +29,6 @@ golden-replayable like a trace digest (see
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -48,6 +47,7 @@ from repro.scenarios import ScenarioSpec, get_engine
 from repro.scenarios.engines import Engine, ExecutionResult
 from repro.telemetry import default_registry
 from repro.util.fingerprint import fingerprint_doc
+from repro.util.jsonfile import write_json_atomic
 from repro.util.tables import TextTable
 from repro.workloads.bt_mz import BtMzConfig
 
@@ -328,13 +328,7 @@ class Leaderboard:
         """Write the versioned artifact (doc + embedded fingerprint)."""
         doc = self.to_doc()
         doc["fingerprint"] = self.fingerprint
-        parent = os.path.dirname(os.path.abspath(path))
-        os.makedirs(parent, exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
+        write_json_atomic(path, doc)
         return path
 
     @classmethod

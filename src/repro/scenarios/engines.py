@@ -489,7 +489,10 @@ class FluidEngine(Engine):
         now hit a warm memo. Correctness never depends on the
         prediction: a state it missed is solved on demand, and the
         solve is a pure function of the state — so digests are
-        bit-identical to per-spec ``run`` calls in any order.
+        bit-identical to per-spec ``run`` calls in any order. A spec
+        alone in its seed/topology group is not presolved: its event
+        loop solves the states it visits, typically fewer than the
+        prediction enumerates, so a lone spec costs what ``run`` does.
         """
         specs, labels = self._batch_args(specs, labels)
         opts = self._opts(options)
@@ -501,8 +504,9 @@ class FluidEngine(Engine):
         for spec in specs:
             by_system.setdefault((spec.seed, spec.topology), []).append(spec)
         for (seed, topology), group in by_system.items():
-            system = self._system(seed, incremental, invariants, topology)
-            self._presolve(system, group)
+            if len(group) > 1:
+                system = self._system(seed, incremental, invariants, topology)
+                self._presolve(system, group)
 
         results = [
             self.run(spec, label=label, options=options)

@@ -13,9 +13,9 @@ literature (a global coordinator in front of per-scenario executors):
   by the oracle layer's sha256 scenario fingerprints, with in-flight
   coalescing;
 * :mod:`repro.service.executor` — the :class:`ScenarioService` worker
-  pool that ties them together over
-  :func:`repro.experiments.runner.run_case` and the persistent
-  :class:`~repro.smt.throughput.ThroughputTable`;
+  pool that ties them together, running each dequeued list of
+  same-engine jobs through one ``engine.run_batch`` call of the
+  :mod:`repro.scenarios` engine registry;
 * :mod:`repro.service.server` — the stdlib-only HTTP JSON API behind
   ``repro serve``.
 """

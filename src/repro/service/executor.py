@@ -6,12 +6,15 @@ provides — a :class:`~repro.service.queue.JobQueue`, a
 adds the execution policy: cache-first admission (a stored fingerprint
 is served without a queue slot; an in-flight one coalesces), per-attempt
 timeouts, total deadlines, and retry-with-backoff for transient worker
-failures. Workers additionally coalesce up to
-``ServiceConfig.max_batch_size`` compatible queued jobs (same engine;
-see :meth:`ScenarioService._compat_key`) into one
-``engine.run_batch`` call — results, errors, and telemetry stay
-per job, and a failed batch falls back to per-job execution so one
-poison spec cannot fail its neighbours.
+failures.
+
+The unit of work is a list of same-engine jobs. Each worker dequeues up
+to :data:`MAX_BATCH_SIZE` compatible queued jobs (see
+:meth:`ScenarioService._compat_key`) and runs them through one
+``runner(specs)`` call — by default :func:`execute_specs`, one
+``engine.run_batch`` call. Results, errors, and telemetry stay per job,
+and a failed multi-job attempt falls back to running each job alone so
+one poison spec cannot fail its neighbours.
 
 Execution itself goes through the :mod:`repro.scenarios` engine
 registry: the spec's model knob resolves to a registered engine
@@ -23,7 +26,7 @@ Systems and the shared persistent
 :class:`~repro.smt.throughput.ThroughputTable` at
 ``ServiceConfig.throughput_table_path`` (merge-then-save, so concurrent
 workers accumulate measurements instead of clobbering) are owned by the
-engines themselves now, not hand-rolled here.
+engines themselves, not hand-rolled here.
 
 Timeouts are cooperative: every attempt runs inline on its worker
 thread inside a :func:`~repro.util.deadline.deadline_scope`, and the MPI
@@ -31,9 +34,9 @@ runtime checks that deadline before each run and at every event, so a
 timed-out simulation stops where it is and the worker moves on — no
 thread outlives its job. A runner that never checks the deadline (a
 custom one, or a non-runtime engine) is judged when it returns: a result
-that arrives after the deadline is discarded. Either way the job fails
-with :class:`~repro.errors.JobTimeoutError`. Running inline also lets
-each worker's warm engine Systems serve every job it takes.
+that arrives after the deadline is discarded. Either way the attempt
+fails with :class:`~repro.errors.JobTimeoutError`. Running inline also
+lets each worker's warm engine Systems serve every job it takes.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Optional
+from typing import Callable, Deque, Dict, List, Optional
 
 from repro.errors import (
     ConfigurationError,
@@ -64,19 +67,23 @@ from repro.service.jobs import (
 from repro.service.queue import JobQueue
 from repro.telemetry import MetricRegistry, get_logger
 from repro.util.deadline import deadline_scope
-# Re-exported for compatibility: percentile() lived here before moving
-# to repro.util.stats next to summarize().
 from repro.util.stats import percentile
 
 __all__ = [
+    "MAX_BATCH_SIZE",
     "ServiceConfig",
     "ScenarioService",
-    "execute_spec",
-    "execute_spec_batch",
-    "percentile",
+    "execute_specs",
 ]
 
 _log = get_logger("service")
+
+#: Most queued jobs one runner call (one engine batch) may take.
+MAX_BATCH_SIZE = 8
+#: Terminal jobs kept addressable by id before eviction.
+MAX_JOBS_TRACKED = 10_000
+#: Completed-job latencies kept for the percentile metrics.
+LATENCY_WINDOW = 1024
 
 #: Lifecycle events the service counts, in reporting order.
 _EVENTS = (
@@ -99,13 +106,6 @@ class ServiceConfig:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: Shared on-disk cycle-model measurement table (model="cycle" jobs).
     throughput_table_path: Optional[str] = None
-    #: Terminal jobs kept addressable by id before eviction.
-    max_jobs_tracked: int = 10_000
-    #: Completed-job latencies kept for the percentile metrics.
-    latency_window: int = 1024
-    #: Most queued jobs one engine batch may coalesce (1 disables
-    #: batching; compatible jobs then still run, just one at a time).
-    max_batch_size: int = 8
 
     def __post_init__(self) -> None:
         if self.workers <= 0:
@@ -116,14 +116,6 @@ class ServiceConfig:
             )
         if self.default_timeout_s is not None and self.default_timeout_s <= 0:
             raise ConfigurationError("default_timeout_s must be > 0 or None")
-        if self.max_jobs_tracked <= 0 or self.latency_window <= 0:
-            raise ConfigurationError(
-                "max_jobs_tracked/latency_window must be > 0"
-            )
-        if self.max_batch_size <= 0:
-            raise ConfigurationError(
-                f"max_batch_size must be > 0, got {self.max_batch_size}"
-            )
 
 
 # -- spec execution (module-level so tests can call it directly) ----------------
@@ -173,35 +165,19 @@ def _resolve(spec: JobSpec, table_path: Optional[str]):
     return engine, scenario, label, options
 
 
-def execute_spec(
-    spec: JobSpec, table_path: Optional[str] = None
-) -> JobResult:
-    """Run one spec to a :class:`JobResult` (the default worker runner).
+def execute_specs(
+    specs: List[JobSpec], table_path: Optional[str] = None
+) -> List[JobResult]:
+    """Run same-engine specs through one ``engine.run_batch`` call (the
+    default worker runner); one :class:`JobResult` per spec.
 
-    Deterministic by construction: the request's scenario (embedded, or
+    Deterministic by construction: each request's scenario (embedded, or
     the named paper case's spec) is dispatched to the engine
-    ``spec.engine`` names, so the served digest is bit-identical to a
+    ``spec.engine`` names, so every served digest is bit-identical to a
     direct ``get_engine(...).run(...)`` — or a
     :func:`~repro.experiments.runner.run_case` — of the same request.
-    """
-    engine, scenario, label, options = _resolve(spec, table_path)
-    result = engine.run(scenario, label=label, options=options)
-    if spec.check_invariants:
-        from repro.oracle.checker import verify_run
-
-        verify_run(result.run)
-    return JobResult.from_execution(spec, result)
-
-
-def execute_spec_batch(
-    specs: list, table_path: Optional[str] = None
-) -> list:
-    """Run coalesced specs through one ``engine.run_batch`` call.
-
     All specs must name the same engine (the queue's compatibility key
-    guarantees it — see :meth:`ScenarioService._compat_key`); each
-    result is still verified and wrapped per spec, so a served digest is
-    bit-identical to :func:`execute_spec` of the same request.
+    guarantees it — see :meth:`ScenarioService._compat_key`).
     """
     if not specs:
         return []
@@ -252,8 +228,9 @@ def _within(timeout: Optional[float], job_id: str, attempt: Callable):
 class ScenarioService:
     """Job intake, worker pool, and metrics — the serving facade.
 
-    ``runner`` defaults to :func:`execute_spec`; tests inject a stub to
-    exercise timeout/retry paths without real simulations.
+    ``runner(specs) -> results`` defaults to :func:`execute_specs`;
+    tests inject a stub to exercise timeout/retry paths without real
+    simulations.
 
     All accounting lives in a :class:`~repro.telemetry.MetricRegistry`
     — by default a fresh one per service, so sequentially constructed
@@ -266,26 +243,15 @@ class ScenarioService:
     def __init__(
         self,
         config: Optional[ServiceConfig] = None,
-        runner: Optional[Callable[[JobSpec], JobResult]] = None,
+        runner: Optional[Callable[[List[JobSpec]], List[JobResult]]] = None,
         registry: Optional[MetricRegistry] = None,
-        batch_runner: Optional[Callable[[list], list]] = None,
     ) -> None:
         self.config = config or ServiceConfig()
-        if runner is None:
-            self._runner = lambda spec: execute_spec(
-                spec, table_path=self.config.throughput_table_path
+        self._runner = runner or (
+            lambda specs: execute_specs(
+                specs, table_path=self.config.throughput_table_path
             )
-            # The default runners pair up; a custom scalar runner without
-            # a matching batch_runner disables coalescing rather than
-            # running specs through a runner the test didn't supply.
-            self._batch_runner = batch_runner or (
-                lambda specs: execute_spec_batch(
-                    specs, table_path=self.config.throughput_table_path
-                )
-            )
-        else:
-            self._runner = runner
-            self._batch_runner = batch_runner
+        )
         self.queue = JobQueue(max_depth=self.config.queue_depth)
         self.cache = ResultCache(max_entries=self.config.cache_entries)
         self._lock = threading.RLock()
@@ -313,16 +279,15 @@ class ScenarioService:
             labelnames=("event",),
         )
         self._counters = {name: events.labels(name) for name in _EVENTS}
-        window = self.config.latency_window
         self._latency_hist = reg.histogram(
             "repro_service_job_latency_seconds",
             "Submission-to-terminal job latency.",
-            sample_window=window,
+            sample_window=LATENCY_WINDOW,
         )
         self._compute_hist = reg.histogram(
             "repro_service_job_compute_seconds",
             "Worker compute seconds per computed job.",
-            sample_window=window,
+            sample_window=LATENCY_WINDOW,
         )
         reg.gauge(
             "repro_service_workers", "Configured worker threads."
@@ -337,7 +302,7 @@ class ScenarioService:
         self._batch_size_hist = reg.histogram(
             "repro_service_batch_size",
             "Jobs per coalesced engine batch.",
-            sample_window=window,
+            sample_window=LATENCY_WINDOW,
         )
         jobs_gauge = reg.gauge(
             "repro_service_jobs", "Tracked jobs by lifecycle state.",
@@ -500,7 +465,7 @@ class ScenarioService:
     def _track(self, job: Job) -> None:
         self._jobs[job.id] = job
         self._job_order.append(job.id)
-        while len(self._job_order) > self.config.max_jobs_tracked:
+        while len(self._job_order) > MAX_JOBS_TRACKED:
             oldest_id = self._job_order[0]
             oldest = self._jobs.get(oldest_id)
             if oldest is not None and not oldest.state.terminal:
@@ -530,153 +495,105 @@ class ScenarioService:
             )
 
     def _worker_loop(self) -> None:
-        batching = (
-            self._batch_runner is not None and self.config.max_batch_size > 1
-        )
         while True:
-            if not batching:
-                job = self.queue.get()
-                if job is None:
-                    return
-                self._process(job)
-                continue
-            jobs = self.queue.get_batch(
-                self.config.max_batch_size, self._compat_key
-            )
+            jobs = self.queue.get_batch(MAX_BATCH_SIZE, self._compat_key)
             if jobs is None:
                 return
-            if len(jobs) == 1:
-                self._process(jobs[0])
-            else:
-                self._process_batch(jobs)
+            admitted = [j for j in map(self._admit, jobs) if j is not None]
+            if admitted:
+                self._run(admitted)
 
     def _compat_key(self, job: Job) -> object:
         """Jobs with equal keys may share one engine batch.
 
         The engine name is the whole story today: every worker shares
         the one configured throughput table path, so two same-engine
-        jobs always agree on it. Returning ``None`` would exclude a job
-        from batching entirely.
+        jobs always agree on it.
         """
         return (job.spec.engine,)
 
-    def _process_batch(self, jobs: list) -> None:
-        """Run coalesced jobs through one batch attempt.
+    def _admit(self, job: Job) -> Optional[Job]:
+        """The job to run for dequeued ``job``, or None when there is
+        nothing (left) to run.
 
-        Admission (terminal-reclaim, deadline) mirrors :meth:`_process`
-        per job; settlement is per fingerprint, so followers that
-        coalesced onto any member while the batch ran are paid out
-        exactly as on the scalar path. Any batch-level failure falls
-        back to processing each job individually — a poison spec then
-        fails only its own job.
+        A job cancelled while queued hands its computation to the first
+        live follower that coalesced behind it, if any; a job past its
+        total deadline fails here with its ``deadline`` error.
         """
-        runnable = []
-        for job in jobs:
-            if job.state.terminal:
-                # Cancelled while queued; promote live followers, as
-                # _process does, by letting the scalar path handle it.
-                self._process(job)
-                continue
-            if job.deadline_exceeded():
-                self._settle_failure(
-                    job.spec.fingerprint, job,
-                    JobTimeoutError(
-                        job.id, job.spec.deadline_s, kind="deadline"
-                    ),
-                )
-                continue
-            runnable.append(job)
-        if not runnable:
-            return
-        if len(runnable) == 1:
-            self._process(runnable[0])
-            return
-
-        timeout: Optional[float] = 0.0
-        for job in runnable:
-            job.state = JobState.RUNNING
-            job.started_at = time.time()
-            job.attempts += 1
-            per_job = self._attempt_timeout(job)
-            if per_job is None or timeout is None:
-                # One unbounded member leaves the whole batch unbounded.
-                timeout = None
-            else:
-                timeout += per_job
-        try:
-            specs = [job.spec for job in runnable]
-            results = _within(
-                timeout, runnable[0].id, lambda: self._batch_runner(specs)
-            )
-            if len(results) != len(runnable):
-                raise ServiceError(
-                    f"batch runner returned {len(results)} results "
-                    f"for {len(runnable)} jobs"
-                )
-        except Exception as exc:  # noqa: BLE001 — per-job fallback below
-            _log.info(
-                "batch of %d jobs failed (%s: %s); falling back to "
-                "per-job execution", len(runnable), type(exc).__name__, exc,
-            )
-            for job in runnable:
-                # The batch attempt didn't consume a per-job attempt:
-                # the scalar fallback re-counts from the same budget.
-                job.attempts -= 1
-                self._process(job)
-            return
-        with self._lock:
-            self._batches_counter.inc()
-            self._batch_size_hist.observe(len(runnable))
-        for job, result in zip(runnable, results):
-            self._settle_success(job.spec.fingerprint, job, result)
-
-    def _process(self, job: Job) -> None:
-        fp = job.spec.fingerprint
         if job.state.terminal:
-            # Cancelled while queued. If identical requests coalesced
-            # behind it, the computation is still wanted — run for them.
-            leader, followers = self.cache.settle(fp, None)
+            _, followers = self.cache.settle(job.spec.fingerprint, None)
             live = [f for f in followers if not f.state.terminal]
             if not live:
-                return
-            promoted = live[0]
-            self.cache.claim(promoted)
-            for follower in live[1:]:
+                return None
+            # The first live follower leads; the rest follow it again.
+            for follower in live:
                 self.cache.claim(follower)
-            job = promoted
-            fp = job.spec.fingerprint
-
+            job = live[0]
         if job.deadline_exceeded():
-            self._settle_failure(
-                fp, job,
-                JobTimeoutError(job.id, job.spec.deadline_s, kind="deadline"),
+            self._settle(
+                job,
+                exc=JobTimeoutError(
+                    job.id, job.spec.deadline_s, kind="deadline"
+                ),
             )
-            return
+            return None
+        return job
 
-        job.state = JobState.RUNNING
-        job.started_at = time.time()
+    def _run(self, jobs: List[Job]) -> None:
+        """Run admitted same-engine jobs through the runner to settlement.
+
+        Each attempt is one ``runner(specs)`` call under
+        :meth:`_attempt_timeout`. A multi-job attempt that fails in any
+        way (a poison spec, a timeout, a wrong result count) is refunded
+        and every job is admitted and run again alone, so one bad spec
+        fails only its own job. A lone job retries transient failures
+        with backoff, within its retry budget and total deadline.
+        Settlement is per fingerprint, so followers that coalesced onto
+        any member while it ran are paid out with it.
+        """
+        for job in jobs:
+            job.state = JobState.RUNNING
+            job.started_at = time.time()
         retry = self.config.retry
-        max_retries = (
-            job.spec.max_retries
-            if job.spec.max_retries is not None
-            else retry.max_retries
-        )
         while True:
-            job.attempts += 1
+            for job in jobs:
+                job.attempts += 1
             try:
-                result = _within(
-                    self._attempt_timeout(job), job.id,
-                    lambda: self._runner(job.spec),
+                results = _within(
+                    self._attempt_timeout(jobs), jobs[0].id,
+                    lambda: self._runner([job.spec for job in jobs]),
                 )
+                if len(results) != len(jobs):
+                    raise ServiceError(
+                        f"runner returned {len(results)} results "
+                        f"for {len(jobs)} jobs"
+                    )
             except Exception as exc:  # noqa: BLE001 — classified below
+                if len(jobs) > 1:
+                    _log.info(
+                        "batch of %d jobs failed (%s: %s); running each "
+                        "job alone", len(jobs), type(exc).__name__, exc,
+                    )
+                    for job in jobs:
+                        # The failed batch attempt is not charged to the
+                        # job's own attempt budget.
+                        job.attempts -= 1
+                        alone = self._admit(job)
+                        if alone is not None:
+                            self._run([alone])
+                    return
+                job = jobs[0]
                 if isinstance(exc, JobTimeoutError):
                     with self._lock:
                         self._counters["timeouts"].inc()
-                transient = isinstance(exc, (TransientWorkerError, OSError))
-                retries_used = job.attempts - 1
+                max_retries = (
+                    job.spec.max_retries
+                    if job.spec.max_retries is not None
+                    else retry.max_retries
+                )
                 if (
-                    transient
-                    and retries_used < max_retries
+                    isinstance(exc, (TransientWorkerError, OSError))
+                    and job.attempts - 1 < max_retries
                     and not job.deadline_exceeded()
                 ):
                     with self._lock:
@@ -687,9 +604,14 @@ class ScenarioService:
                     )
                     time.sleep(self._bounded_backoff(job, retry))
                     continue
-                self._settle_failure(fp, job, exc)
+                self._settle(job, exc=exc)
                 return
-            self._settle_success(fp, job, result)
+            if len(jobs) > 1:
+                with self._lock:
+                    self._batches_counter.inc()
+                    self._batch_size_hist.observe(len(jobs))
+            for job, result in zip(jobs, results):
+                self._settle(job, result)
             return
 
     def _bounded_backoff(self, job: Job, retry: RetryPolicy) -> float:
@@ -699,51 +621,52 @@ class ScenarioService:
             delay = max(0.0, min(delay, remaining))
         return delay
 
-    def _attempt_timeout(self, job: Job) -> Optional[float]:
-        timeout = (
+    def _attempt_timeout(self, jobs: List[Job]) -> Optional[float]:
+        """One attempt's time limit: the jobs' per-attempt timeouts
+        summed (None if any is unbounded), never past the smallest
+        remaining total deadline among them."""
+        limits = [
             job.spec.timeout_s
             if job.spec.timeout_s is not None
             else self.config.default_timeout_s
-        )
-        remaining = job.deadline_remaining()
-        if remaining is not None:
-            remaining = max(0.01, remaining)
-            timeout = remaining if timeout is None else min(timeout, remaining)
+            for job in jobs
+        ]
+        timeout = None if None in limits else sum(limits)
+        remaining = [job.deadline_remaining() for job in jobs]
+        remaining = [r for r in remaining if r is not None]
+        if remaining:
+            cap = max(0.01, min(remaining))
+            timeout = cap if timeout is None else min(timeout, cap)
         return timeout
 
-    def _settle_success(self, fp: str, job: Job, result: JobResult) -> None:
-        _, followers = self.cache.settle(fp, result)
+    def _settle(
+        self,
+        job: Job,
+        result: Optional[JobResult] = None,
+        exc: Optional[Exception] = None,
+    ) -> None:
+        """Finish ``job`` and every live follower of its fingerprint:
+        done with ``result``, or failed with ``exc``."""
+        _, followers = self.cache.settle(job.spec.fingerprint, result)
+        state, event, error = JobState.DONE, "completed", None
+        if exc is not None:
+            state, event = JobState.FAILED, "failed"
+            error = f"{type(exc).__name__}: {exc}"
+            if isinstance(exc, JobTimeoutError):
+                _log.warning("job %s timed out after %d attempt(s): %s",
+                             job.id, job.attempts, exc)
+            else:
+                _log.error("job %s failed after %d attempt(s): %s",
+                           job.id, job.attempts, error, exc_info=exc)
         with self._lock:
-            job.finish(JobState.DONE, result=result, source="computed")
-            self._counters["completed"].inc()
+            job.finish(state, result=result, error=error)
+            self._counters[event].inc()
             self._note_latency(job)
             for follower in followers:
                 if follower.state.terminal:
                     continue
                 follower.finish(
-                    JobState.DONE, result=result, source="coalesced"
+                    state, result=result, error=error, source="coalesced"
                 )
-                self._counters["completed"].inc()
-                self._note_latency(follower)
-
-    def _settle_failure(self, fp: str, job: Job, exc: Exception) -> None:
-        _, followers = self.cache.settle(fp, None)
-        error = f"{type(exc).__name__}: {exc}"
-        if isinstance(exc, JobTimeoutError):
-            _log.warning("job %s timed out after %d attempt(s): %s",
-                         job.id, job.attempts, exc)
-        else:
-            _log.error("job %s failed after %d attempt(s): %s",
-                       job.id, job.attempts, error, exc_info=exc)
-        with self._lock:
-            job.finish(JobState.FAILED, error=error)
-            self._counters["failed"].inc()
-            self._note_latency(job)
-            for follower in followers:
-                if follower.state.terminal:
-                    continue
-                follower.finish(
-                    JobState.FAILED, error=error, source="coalesced"
-                )
-                self._counters["failed"].inc()
+                self._counters[event].inc()
                 self._note_latency(follower)

@@ -88,19 +88,6 @@ class JobQueue:
             self.admitted += 1
             self._cond.notify()
 
-    def get(self, timeout: Optional[float] = None) -> Optional[Job]:
-        """Next job in lane-priority order; None on timeout or once the
-        queue is closed *and* drained."""
-        with self._cond:
-            while True:
-                for lane in self.lanes:
-                    if self._queues[lane]:
-                        return self._queues[lane].popleft()
-                if self._closed:
-                    return None
-                if not self._cond.wait(timeout=timeout):
-                    return None
-
     def get_batch(
         self,
         max_n: int,
@@ -109,17 +96,16 @@ class JobQueue:
     ) -> Optional[List[Job]]:
         """Next job plus up to ``max_n - 1`` compatible followers.
 
-        The head job is chosen exactly as :meth:`get` chooses it (lane
-        priority, FIFO within the lane); followers are further jobs from
+        The head job is chosen by lane priority (``interactive`` before
+        ``batch``), FIFO within the lane; followers are further jobs from
         the *same lane* whose ``compat_key`` equals the head's —
         coalescing never lets a batch-lane job overtake an interactive
         one, and never mixes jobs a single engine batch could not run
         together. Skipped (incompatible) jobs keep their positions, so
-        lane FIFO order is preserved for everything not taken. A head
-        whose key is ``None`` is returned alone (not batchable).
+        lane FIFO order is preserved for everything not taken.
 
-        Returns ``None`` on timeout or once the queue is closed and
-        drained, like :meth:`get`.
+        Returns ``None`` on timeout or once the queue is closed *and*
+        drained.
         """
         with self._cond:
             while True:
@@ -130,16 +116,15 @@ class JobQueue:
                     head = q.popleft()
                     batch = [head]
                     key = compat_key(head)
-                    if key is not None and max_n > 1:
-                        kept: Deque[Job] = deque()
-                        while q and len(batch) < max_n:
-                            job = q.popleft()
-                            if compat_key(job) == key:
-                                batch.append(job)
-                            else:
-                                kept.append(job)
-                        while kept:
-                            q.appendleft(kept.pop())
+                    kept: Deque[Job] = deque()
+                    while q and len(batch) < max_n:
+                        job = q.popleft()
+                        if compat_key(job) == key:
+                            batch.append(job)
+                        else:
+                            kept.append(job)
+                    while kept:
+                        q.appendleft(kept.pop())
                     return batch
                 if self._closed:
                     return None
@@ -148,7 +133,7 @@ class JobQueue:
 
     def close(self) -> None:
         """Stop admissions and wake every waiting worker; queued jobs may
-        still be drained with :meth:`get`."""
+        still be drained with :meth:`get_batch`."""
         with self._cond:
             self._closed = True
             self._cond.notify_all()
@@ -164,7 +149,7 @@ class JobQueue:
 
         The queue's own accounting stays plain ints under its condition
         variable; the registry reads them only at collection time, so
-        the put/get hot path gains nothing.
+        the put/get_batch hot path gains nothing.
         """
         registry.gauge(
             "repro_queue_depth", "Queued jobs, per lane.",

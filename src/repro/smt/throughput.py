@@ -24,6 +24,7 @@ from repro.smt.cache import CacheHierarchy
 from repro.smt.instructions import LoadProfile
 from repro.smt.pipeline import CorePipeline, PipelineConfig
 from repro.util.fingerprint import fingerprint_doc
+from repro.util.jsonfile import write_json_atomic
 from repro.util.rng import RngStreams
 from repro.util.validation import check_positive
 
@@ -212,13 +213,7 @@ class ThroughputTable:
             "seed": self.seed,
             "entries": entries,
         }
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
-        os.replace(tmp, path)
+        write_json_atomic(path, doc)
         return len(entries)
 
     def load(self, path: str, strict: bool = False) -> int:

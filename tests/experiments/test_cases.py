@@ -10,7 +10,7 @@ class TestSuiteStructure:
     def test_metbench_cases(self):
         suite = metbench_suite(iterations=2)
         assert [c.name for c in suite.cases] == ["A", "B", "C", "D"]
-        assert suite.case("C").priorities == {0: 4, 1: 6, 2: 4, 3: 6}
+        assert suite.case("C").spec.priority_dict() == {0: 4, 1: 6, 2: 4, 3: 6}
         with pytest.raises(ConfigurationError):
             suite.case("Z")
 
@@ -18,19 +18,19 @@ class TestSuiteStructure:
         suite = btmz_suite(iterations=2)
         names = [c.name for c in suite.cases]
         assert names == ["ST", "A", "B", "C", "D"]
-        assert suite.case("ST").n_ranks == 2
+        assert suite.case("ST").spec.n_ranks == 2
         # Case D per Table V: P3 at 5, P4 at 6.
-        assert suite.case("D").priorities == {0: 4, 1: 4, 2: 5, 3: 6}
+        assert suite.case("D").spec.priority_dict() == {0: 4, 1: 4, 2: 5, 3: 6}
 
     def test_btmz_remap_pairs_p1_with_p4(self):
         suite = btmz_suite(iterations=2)
-        mapping = suite.case("C").mapping
+        mapping = suite.case("C").spec.mapping_obj()
         assert mapping.sibling_of(0) == 3
 
     def test_siesta_cases(self):
         suite = siesta_suite(n_iterations=2, time_scale=0.05)
         assert [c.name for c in suite.cases] == ["ST", "A", "B", "C", "D"]
-        assert suite.case("C").priorities == {0: 4, 1: 4, 2: 4, 3: 5}
+        assert suite.case("C").spec.priority_dict() == {0: 4, 1: 4, 2: 4, 3: 5}
 
     def test_paper_values_attached(self):
         suite = metbench_suite(iterations=2)

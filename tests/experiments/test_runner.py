@@ -50,3 +50,25 @@ class TestComparisonTable:
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             comparison_table([])
+
+
+class TestRankTable:
+    @staticmethod
+    def core_and_priority(result):
+        """(Core, P) cells per rank row of the rendered table."""
+        rows = result.rank_table("t").render().splitlines()[3:]
+        return [tuple(c.strip() for c in row.split("|")[1:3]) for row in rows]
+
+    def test_default_priorities_are_medium(self, quick_results):
+        case_a = quick_results[0]
+        assert case_a.case.spec.priority_dict() is None
+        assert self.core_and_priority(case_a) == [
+            ("1", "4"), ("1", "4"), ("2", "4"), ("2", "4"),
+        ]
+
+    def test_case_priorities_and_one_based_cores(self, quick_results):
+        case_c = quick_results[1]
+        assert self.core_and_priority(case_c) == [
+            ("1", "4"), ("1", "6"), ("2", "4"), ("2", "6"),
+        ]
+        assert case_c.rank_table("MetBench case C").title == "MetBench case C"

@@ -21,6 +21,7 @@ from repro.scenarios import (
     fast_cycle_table,
 )
 from repro.scenarios.engines import AnalyticEngine, CycleEngine, FluidEngine
+from repro.smt.analytic import AnalyticThroughputModel
 
 #: One handcrafted spec per spec kind (siesta is outside the generator's
 #: draw space, so it is exercised here explicitly).
@@ -243,6 +244,36 @@ class TestTopologyBatches:
             results = _fresh(name).run_batch([single, TOPOLOGY_SPECS[0]])
             assert results[0].total_time == results[1].total_time
             assert results[0].digest == results[1].digest
+
+
+class TestFluidPresolveGroups:
+    """The fluid engine presolves only seed/topology groups of two or
+    more specs; a lone spec runs exactly as ``run`` does."""
+
+    @pytest.fixture
+    def stack_calls(self, monkeypatch):
+        calls = []
+        real = AnalyticThroughputModel.chip_ipc_stack
+
+        def counting(model, chip_states):
+            calls.append(len(chip_states))
+            return real(model, chip_states)
+
+        monkeypatch.setattr(
+            AnalyticThroughputModel, "chip_ipc_stack", counting
+        )
+        return calls
+
+    def test_lone_spec_is_not_presolved(self, stack_calls):
+        spec = KIND_SPECS["barrier_loop"]
+        [batched] = FluidEngine().run_batch([spec])
+        assert stack_calls == []
+        assert _signature(batched) == _signature(FluidEngine().run(spec))
+
+    def test_multi_spec_group_is_presolved(self, stack_calls):
+        specs = [KIND_SPECS["barrier_loop"], KIND_SPECS["btmz"]]
+        FluidEngine().run_batch(specs)
+        assert len(stack_calls) == 1 and stack_calls[0] > 0
 
 
 class TestBatchProtocol:

@@ -1,20 +1,17 @@
 """Worker-side batch coalescing: queue policy, fallback, cache interplay.
 
-Covers the batch-admission satellites: ``JobQueue.get_batch`` respects
-lane priority and never mixes incompatible jobs, a poison spec in a
-coalesced batch fails only its own job, ``POST /v1/jobs:batch`` serves
-digests equal to individual submits, and — the regression the in-flight
-cache demands — a duplicate submission arriving while its spec is inside
-a running batch coalesces onto that batch instead of re-running or
-reading a stale result.
+Covers batch admission: ``JobQueue.get_batch`` respects lane priority
+and never mixes incompatible jobs, a poison spec in a coalesced batch
+fails only its own job, a batch attempt never outlives a member's total
+deadline, and — the regression the in-flight cache demands — a
+duplicate submission arriving while its spec is inside a running batch
+coalesces onto that batch instead of re-running or reading a stale
+result.
 """
 
 import threading
 import time
 
-import pytest
-
-from repro.errors import ConfigurationError
 from repro.scenarios import ScenarioSpec
 from repro.service.executor import ScenarioService, ServiceConfig
 from repro.service.jobs import Job, JobResult, JobSpec, JobState, RetryPolicy
@@ -83,15 +80,6 @@ class TestQueueGetBatch:
         second = queue.get_batch(8, engine_key)
         assert [j.id for j in second] == [c.id]
 
-    def test_none_key_head_is_returned_alone(self):
-        queue = JobQueue(max_depth=16)
-        jobs = [Job(spec=spec_for(f"j{i}")) for i in range(3)]
-        for job in jobs:
-            queue.put(job)
-        got = queue.get_batch(8, lambda job: None)
-        assert [j.id for j in got] == [jobs[0].id]
-        assert queue.depth() == 2
-
     def test_max_n_caps_the_batch(self):
         queue = JobQueue(max_depth=16)
         jobs = [Job(spec=spec_for(f"j{i}")) for i in range(5)]
@@ -108,13 +96,17 @@ class TestQueueGetBatch:
 
 
 class _Harness:
-    """One-worker service with a gate job: while the gate's scalar run
+    """One-worker service with a gate job: while the gate's lone run
     blocks, submissions pile up in the queue and the *next* dequeue is a
-    deterministic batch."""
+    deterministic batch.
+
+    The service's one runner takes a list of specs; calls with two or
+    more specs are the batches, held by ``release_batch`` (or
+    ``batch_hold_s``) and recorded in ``batches``."""
 
     def __init__(self, **config_kwargs):
-        self.calls = []          # fingerprints run by the scalar runner
-        self.batches = []        # spec-name lists per batch_runner call
+        self.calls = []          # lone runs, plus batches that returned
+        self.batches = []        # spec-name lists per multi-spec call
         self.gate_running = threading.Event()
         self.release_gate = threading.Event()
         self.batch_started = threading.Event()
@@ -122,31 +114,34 @@ class _Harness:
         self.fail_names = set()
         self.fail_batches = 0
         self.batch_spins = False  # batch attempts run until their deadline
+        self.batch_hold_s = 0.0   # batch attempts ignore their deadline
         config_kwargs.setdefault("workers", 1)
         config_kwargs.setdefault(
             "retry", RetryPolicy(max_retries=0, base_s=0.01, max_backoff_s=0.05)
         )
         self.service = ScenarioService(
-            ServiceConfig(**config_kwargs),
-            runner=self._runner,
-            batch_runner=self._batch_runner,
+            ServiceConfig(**config_kwargs), runner=self._runner
         )
 
-    def _runner(self, spec):
+    def _runner(self, specs):
+        if len(specs) > 1:
+            return self._run_batch(specs)
+        (spec,) = specs
         self.calls.append(spec.fingerprint)
         if spec.scenario.name == "gate":
             self.gate_running.set()
             assert self.release_gate.wait(WAIT)
         if spec.scenario.name in self.fail_names:
             raise ValueError(f"poison spec {spec.scenario.name}")
-        return stub_result(spec)
+        return [stub_result(spec)]
 
-    def _batch_runner(self, specs):
+    def _run_batch(self, specs):
         self.batches.append([s.scenario.name for s in specs])
         self.batch_started.set()
         while self.batch_spins:
             check_deadline()
             time.sleep(0.002)
+        time.sleep(self.batch_hold_s)
         assert self.release_batch.wait(WAIT)
         if self.fail_batches > 0:
             self.fail_batches -= 1
@@ -190,7 +185,7 @@ class TestServiceBatching:
             ])
             for job in jobs:
                 assert service.wait(job.id, timeout=WAIT).state is JobState.DONE
-            # One fluid batch; the cycle job ran scalar on its own.
+            # One fluid batch; the cycle job ran alone.
             assert h.batches == [["a", "b"]]
             assert jobs[1].spec.fingerprint in h.calls
 
@@ -215,7 +210,7 @@ class TestServiceBatching:
             by_name = {job.spec.scenario.name: job for job in jobs}
             assert "poison spec" in by_name["poison"].error
             # The failed batch attempt was refunded: survivors show one
-            # consumed attempt (the scalar fallback), not two.
+            # consumed attempt (the lone rerun), not two.
             assert by_name["a"].attempts == 1
             assert by_name["a"].result.fingerprint == jobs[0].spec.fingerprint
 
@@ -251,33 +246,20 @@ class TestServiceBatching:
             assert batches.value == 1
             assert sizes.samples() == [3.0]
 
-    def test_max_batch_size_one_disables_coalescing(self):
-        h = _Harness(max_batch_size=1)
+    def test_batch_attempt_honours_each_members_deadline(self):
+        h = _Harness()
+        h.release_batch.set()
+        h.batch_hold_s = 0.2  # far past a's 0.05 s total deadline
         with h.service as service:
-            _, jobs = h.open_gate_and_queue([spec_for(n) for n in ("a", "b")])
-            for job in jobs:
-                assert service.wait(job.id, timeout=WAIT).state is JobState.DONE
-            assert h.batches == []
-
-    def test_custom_runner_without_batch_runner_disables_coalescing(self):
-        calls = []
-
-        def runner(spec):
-            calls.append(spec.scenario.name)
-            return stub_result(spec)
-
-        service = ScenarioService(
-            ServiceConfig(workers=1), runner=runner
-        )
-        with service:
-            jobs = [service.submit(spec_for(n)) for n in ("a", "b")]
-            for job in jobs:
-                assert service.wait(job.id, timeout=WAIT).state is JobState.DONE
-        assert sorted(calls) == ["a", "b"]
-
-    def test_max_batch_size_must_be_positive(self):
-        with pytest.raises(ConfigurationError, match="max_batch_size"):
-            ServiceConfig(max_batch_size=0)
+            _, (a, b) = h.open_gate_and_queue(
+                [spec_for("a", deadline_s=0.05), spec_for("b")]
+            )
+            assert service.wait(a.id, timeout=WAIT).state is JobState.FAILED
+            assert service.wait(b.id, timeout=WAIT).state is JobState.DONE
+            assert h.batches == [["a", "b"]]
+            assert "deadline" in a.error
+            # The expired batch attempt was refunded; b then ran alone.
+            assert b.attempts == 1 and b.source == "computed"
 
 
 class TestClaimDuringRunningBatch:

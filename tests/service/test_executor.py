@@ -1,8 +1,10 @@
 """ScenarioService: coalescing, timeout/retry/deadline, digests, metrics.
 
 Fast paths use a stub ``runner`` so scheduling behaviour is tested
-without real simulations; the digest-equality tests at the bottom run
-the real executor against direct fluid-engine and ``run_case`` runs.
+without real simulations: each test writes a per-spec stub and
+:func:`make_service` maps it over the list of specs the service's
+runner receives. The digest-equality tests at the bottom run the real
+executor against direct fluid-engine and ``run_case`` runs.
 """
 
 import threading
@@ -21,14 +23,10 @@ from repro.experiments.runner import run_case
 from repro.machine.system import System, SystemConfig
 from repro.scenarios import ScenarioSpec, get_engine
 from repro.scenarios.engines import FluidEngine, trace_digest
-from repro.service.executor import (
-    ScenarioService,
-    ServiceConfig,
-    execute_spec,
-    percentile,
-)
+from repro.service.executor import ScenarioService, ServiceConfig, execute_specs
 from repro.service.jobs import JobResult, JobSpec, JobState, RetryPolicy
 from repro.util.deadline import check_deadline, current_deadline
+from repro.util.stats import percentile
 
 WAIT = 30.0  # generous terminal-state wait; loaded CI machines are slow
 
@@ -57,12 +55,29 @@ def stub_result(spec: JobSpec) -> JobResult:
     )
 
 
-def make_service(runner, **config_kwargs) -> ScenarioService:
+def make_service(run_one, **config_kwargs) -> ScenarioService:
+    """A service whose list runner runs ``run_one`` on each spec in turn."""
     config_kwargs.setdefault("workers", 2)
     config_kwargs.setdefault(
         "retry", RetryPolicy(max_retries=2, base_s=0.01, max_backoff_s=0.05)
     )
-    return ScenarioService(ServiceConfig(**config_kwargs), runner=runner)
+    return ScenarioService(
+        ServiceConfig(**config_kwargs),
+        runner=lambda specs: [run_one(spec) for spec in specs],
+    )
+
+
+def blocking_runner():
+    """A per-spec runner that holds every spec until ``release`` is
+    set, and signals ``started`` once the first one is running."""
+    started, release = threading.Event(), threading.Event()
+
+    def runner(spec):
+        started.set()
+        assert release.wait(WAIT)
+        return stub_result(spec)
+
+    return runner, started, release
 
 
 class TestCoalescing:
@@ -201,14 +216,11 @@ class TestTimeoutsAndRetries:
             assert job.attempts == 2
 
     def test_deadline_expires_in_queue(self):
-        release = threading.Event()
-
-        def runner(spec):
-            assert release.wait(WAIT)
-            return stub_result(spec)
-
+        runner, started, release = blocking_runner()
         with make_service(runner, workers=1) as service:
             blocker = service.submit(spec_for("blocker"))
+            # The blocker must already run, or the two would share a batch.
+            assert started.wait(WAIT)
             late = service.submit(spec_for("late", deadline_s=0.05))
             time.sleep(0.2)
             release.set()
@@ -257,9 +269,9 @@ class TestCooperativeDeadline:
         )
         deadlines = []
 
-        def runner(spec):
+        def runner(specs):
             deadlines.append(current_deadline())
-            return execute_spec(spec)
+            return execute_specs(specs)
 
         service = ScenarioService(
             ServiceConfig(
@@ -288,15 +300,10 @@ class TestCooperativeDeadline:
 
 class TestAdmission:
     def test_backpressure_propagates(self):
-        release = threading.Event()
-
-        def runner(spec):
-            assert release.wait(WAIT)
-            return stub_result(spec)
-
+        runner, started, release = blocking_runner()
         with make_service(runner, workers=1, queue_depth=1) as service:
             running = service.submit(spec_for("a"))
-            time.sleep(0.05)  # let the worker take it off the queue
+            assert started.wait(WAIT)  # the worker took it off the queue
             service.submit(spec_for("b"))
             with pytest.raises(QueueFullError) as excinfo:
                 service.submit(spec_for("c"))
@@ -305,14 +312,10 @@ class TestAdmission:
             service.wait(running.id, timeout=WAIT)
 
     def test_cancel_queued_job(self):
-        release = threading.Event()
-
-        def runner(spec):
-            assert release.wait(WAIT)
-            return stub_result(spec)
-
+        runner, started, release = blocking_runner()
         with make_service(runner, workers=1) as service:
             blocker = service.submit(spec_for("a"))
+            assert started.wait(WAIT)
             queued = service.submit(spec_for("b"))
             cancelled = service.cancel(queued.id)
             assert cancelled.state is JobState.CANCELLED
@@ -327,14 +330,10 @@ class TestAdmission:
                 service.get("job-nope")
 
     def test_shutdown_without_drain_cancels_queued(self):
-        release = threading.Event()
-
-        def runner(spec):
-            assert release.wait(WAIT)
-            return stub_result(spec)
-
+        runner, started, release = blocking_runner()
         service = make_service(runner, workers=1)
         service.submit(spec_for("a"))
+        assert started.wait(WAIT)
         queued = service.submit(spec_for("b"))
         # shutdown() joins the workers, so run it while the worker is
         # still blocked: the cancel of queued jobs happens up front.
@@ -422,6 +421,5 @@ class TestRealExecution:
 
     def test_execute_spec_is_deterministic(self, oracle_scenario):
         spec = JobSpec(scenario=oracle_scenario)
-        assert (
-            execute_spec(spec).digest == execute_spec(spec).digest
-        )
+        first, second = execute_specs([spec, spec])
+        assert first.digest == second.digest == execute_specs([spec])[0].digest

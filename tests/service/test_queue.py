@@ -19,13 +19,20 @@ def job(name: str, lane: str = "batch") -> Job:
     )
 
 
+def pop(queue: JobQueue):
+    """The next job on its own (a one-job batch); None on timeout or
+    once the queue is closed and drained."""
+    got = queue.get_batch(1, lambda job: job.spec.engine, timeout=0.1)
+    return None if got is None else got[0]
+
+
 class TestOrdering:
     def test_fifo_within_lane(self):
         queue = JobQueue(max_depth=8)
         names = ["a", "b", "c"]
         for name in names:
             queue.put(job(name))
-        popped = [queue.get(timeout=0.1).spec.scenario.name for _ in names]
+        popped = [pop(queue).spec.scenario.name for _ in names]
         assert popped == names
 
     def test_interactive_overtakes_batch(self):
@@ -33,8 +40,8 @@ class TestOrdering:
         queue.put(job("slow-1", lane="batch"))
         queue.put(job("slow-2", lane="batch"))
         queue.put(job("urgent", lane="interactive"))
-        assert queue.get(timeout=0.1).spec.scenario.name == "urgent"
-        assert queue.get(timeout=0.1).spec.scenario.name == "slow-1"
+        assert pop(queue).spec.scenario.name == "urgent"
+        assert pop(queue).spec.scenario.name == "slow-1"
 
     def test_unknown_lane_rejected(self):
         queue = JobQueue(max_depth=2, lanes=("batch",))
@@ -73,7 +80,7 @@ class TestBackpressure:
 
 class TestShutdown:
     def test_get_times_out_empty(self):
-        assert JobQueue(max_depth=2).get(timeout=0.05) is None
+        assert pop(JobQueue(max_depth=2)) is None
 
     def test_closed_queue_rejects_puts_but_drains(self):
         queue = JobQueue(max_depth=4)
@@ -81,8 +88,8 @@ class TestShutdown:
         queue.close()
         with pytest.raises(ServiceError):
             queue.put(job("b"))
-        assert queue.get(timeout=0.1).spec.scenario.name == "a"
-        assert queue.get(timeout=0.1) is None
+        assert pop(queue).spec.scenario.name == "a"
+        assert pop(queue) is None
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

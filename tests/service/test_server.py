@@ -287,14 +287,17 @@ class TestProtocol:
     def test_backpressure_is_429_with_retry_after(self, live_server):
         release = threading.Event()
 
-        def runner(spec):
+        def runner(specs):
             assert release.wait(WAIT)
-            return JobResult(
-                fingerprint=spec.fingerprint, digest="d" * 64,
-                label=spec.label, model=spec.model, total_time=1.0,
-                imbalance_percent=0.0, events_processed=1,
-                final_priorities=(4,), ranks=(), compute_seconds=0.001,
-            )
+            return [
+                JobResult(
+                    fingerprint=spec.fingerprint, digest="d" * 64,
+                    label=spec.label, model=spec.model, total_time=1.0,
+                    imbalance_percent=0.0, events_processed=1,
+                    final_priorities=(4,), ranks=(), compute_seconds=0.001,
+                )
+                for spec in specs
+            ]
 
         service = ScenarioService(
             ServiceConfig(workers=1, queue_depth=1,
@@ -318,22 +321,28 @@ class TestProtocol:
             release.set()
 
     def test_cancel_via_delete(self, live_server):
-        release = threading.Event()
+        started, release = threading.Event(), threading.Event()
 
-        def runner(spec):
+        def runner(specs):
+            started.set()
             assert release.wait(WAIT)
-            return JobResult(
-                fingerprint=spec.fingerprint, digest="d" * 64,
-                label=spec.label, model=spec.model, total_time=1.0,
-                imbalance_percent=0.0, events_processed=1,
-                final_priorities=(4,), ranks=(), compute_seconds=0.001,
-            )
+            return [
+                JobResult(
+                    fingerprint=spec.fingerprint, digest="d" * 64,
+                    label=spec.label, model=spec.model, total_time=1.0,
+                    imbalance_percent=0.0, events_processed=1,
+                    final_priorities=(4,), ranks=(), compute_seconds=0.001,
+                )
+                for spec in specs
+            ]
 
         service = ScenarioService(ServiceConfig(workers=1), runner=runner)
         base = live_server(service)
         try:
             request("POST", f"{base}/v1/jobs",
                     {"scenario": scenario_doc("blocker")})
+            # The blocker must already run, or the two would share a batch.
+            assert started.wait(WAIT)
             _status, queued, _ = request(
                 "POST", f"{base}/v1/jobs", {"scenario": scenario_doc("victim")}
             )

@@ -78,7 +78,7 @@ class TestConfigureLogging:
 
 class TestServiceLogging:
     def test_worker_failure_logged_with_job_id(self, caplog):
-        def runner(spec):
+        def runner(specs):
             raise ValueError("synthetic worker explosion")
 
         config = ServiceConfig(workers=1, retry=RetryPolicy(max_retries=0))
